@@ -171,8 +171,11 @@ func TestPropAnalyticHitsTargets(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			for i := range r {
-				ci := signal.IndividualCongestion(q, i)
+			c := make([]float64, len(q))
+			if err := signal.IndividualCongestionInto(c, q, nil, new(signal.Scratch)); err != nil {
+				return false
+			}
+			for i, ci := range c {
 				got := (signal.Rational{}).Eval(ci)
 				if math.Abs(got-bss[i]) > 1e-6 {
 					return false

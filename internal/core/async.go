@@ -29,7 +29,7 @@ import (
 //
 //ffc:taint sink
 func (s *System) RunAsync(r0 []float64, opt RunOptions, seed int64) (*RunResult, error) {
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	start := opt.Clock()
 	n := s.net.NumConnections()
 	if len(r0) != n {
@@ -55,7 +55,7 @@ func (s *System) RunAsync(r0 []float64, opt RunOptions, seed int64) (*RunResult,
 		// (the tracer every step, the stats on the first step).
 		if opt.Tracer != nil || !sampled {
 			resid := s.residualFrom(r, obs)
-			res.Stats.observe(resid, !sampled)
+			res.Stats.Observe(resid, !sampled)
 			sampled = true
 			if opt.Tracer != nil {
 				opt.Tracer.OnStep(step, r, resid, obs.Signals)
@@ -76,7 +76,7 @@ func (s *System) RunAsync(r0 []float64, opt RunOptions, seed int64) (*RunResult,
 			if err != nil {
 				return nil, err
 			}
-			res.Stats.observe(resid, !sampled)
+			res.Stats.Observe(resid, !sampled)
 			sampled = true
 			if resid <= opt.Tol {
 				res.Converged = true
@@ -91,7 +91,7 @@ func (s *System) RunAsync(r0 []float64, opt RunOptions, seed int64) (*RunResult,
 	}
 	res.Final = final
 	finalResid := s.residualFrom(r, final)
-	res.Stats.observe(finalResid, !sampled)
+	res.Stats.Observe(finalResid, !sampled)
 	res.Stats.FinalResidual = finalResid
 	res.Stats.Steps = res.Steps
 	res.Stats.WallTime = opt.Clock().Sub(start)

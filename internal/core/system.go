@@ -277,7 +277,10 @@ type RunOptions struct {
 	NoEarlyStop bool
 }
 
-func (o RunOptions) withDefaults() RunOptions {
+// WithDefaults fills every unset option with its documented default.
+// Every solver backend applies it, so a scenario runs under the same
+// step budget and convergence contract whichever backend solves it.
+func (o RunOptions) WithDefaults() RunOptions {
 	if o.MaxSteps <= 0 {
 		o.MaxSteps = 20000
 	}
@@ -313,8 +316,9 @@ type RunStats struct {
 	MinResidual, MaxResidual float64
 }
 
-// observe folds one residual sample into the summary.
-func (st *RunStats) observe(resid float64, first bool) {
+// Observe folds one residual sample into the summary; first marks the
+// initial sample, which seeds every extreme.
+func (st *RunStats) Observe(resid float64, first bool) {
 	if first {
 		st.InitialResidual = resid
 		st.MinResidual, st.MaxResidual = resid, resid
@@ -352,7 +356,7 @@ type RunResult struct {
 //
 //ffc:taint sink
 func (s *System) Run(r0 []float64, opt RunOptions) (*RunResult, error) {
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	start := opt.Clock()
 	if len(r0) != s.net.NumConnections() {
 		return nil, fmt.Errorf("core: %d initial rates for %d connections", len(r0), s.net.NumConnections())
@@ -380,7 +384,7 @@ func (s *System) Run(r0 []float64, opt RunOptions) (*RunResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.Stats.observe(resid, step == 0)
+		res.Stats.Observe(resid, step == 0)
 		if opt.Tracer != nil {
 			opt.Tracer.OnStep(step, r, resid, obs.Signals)
 		}
@@ -418,7 +422,7 @@ func (s *System) Run(r0 []float64, opt RunOptions) (*RunResult, error) {
 	}
 	res.Final = final
 	finalResid := s.residualFrom(r, final)
-	res.Stats.observe(finalResid, res.Steps == 0)
+	res.Stats.Observe(finalResid, res.Steps == 0)
 	res.Stats.FinalResidual = finalResid
 	res.Stats.Steps = res.Steps
 	res.Stats.WallTime = opt.Clock().Sub(start)

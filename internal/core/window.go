@@ -143,7 +143,7 @@ type WindowRunResult struct {
 // Tracer receives one callback per window update with the pre-update
 // Little's-law rates and signals.
 func (ws *WindowSystem) Run(w0 []float64, opt RunOptions) (*WindowRunResult, error) {
-	opt = opt.withDefaults()
+	opt = opt.WithDefaults()
 	start := opt.Clock()
 	n := ws.sys.net.NumConnections()
 	if len(w0) != n {
@@ -233,7 +233,7 @@ func (ws *WindowSystem) Run(w0 []float64, opt RunOptions) (*WindowRunResult, err
 				}
 			}
 		}
-		res.Stats.observe(resid, step == 0)
+		res.Stats.Observe(resid, step == 0)
 		res.Steps = step + 1
 		if maxChange <= opt.Tol*(1+maxW) {
 			calm++
@@ -265,7 +265,7 @@ func (ws *WindowSystem) Run(w0 []float64, opt RunOptions) (*WindowRunResult, err
 			finalResid = a
 		}
 	}
-	res.Stats.observe(finalResid, res.Steps == 0)
+	res.Stats.Observe(finalResid, res.Steps == 0)
 	res.Stats.FinalResidual = finalResid
 	res.Stats.Steps = res.Steps
 	res.Stats.WallTime = opt.Clock().Sub(start)

@@ -12,15 +12,17 @@
 //
 //	dr_c/dt = f_c(r_c, b_c(r), d_c(r)),
 //
-// where the per-gateway observation kernels are the weighted
-// counterparts of internal/queueing and internal/signal: every sum
-// over connections becomes a sum over classes with multiplicity w_c.
-// The weighted kernels here reproduce the discrete ones exactly — a
-// class of weight w produces bit-wise the same queue, signal, and
-// delay as w discrete members at the same rate (property-pinned in the
-// tests) — so the fluid trajectory is the exact population dynamics,
-// not an approximation of the per-gateway mechanics. The only
-// approximation is in time: the discrete map r' = max(0, r + f) is the
+// where the per-gateway observations come from the same kernels the
+// discrete solver uses — internal/queueing's disciplines and
+// internal/signal's congestion measures — called with the class
+// weights as their multiplicity column: every sum over connections
+// becomes a sum over classes with multiplicity w_c. A class of weight w
+// gets the queue, signal, and delay w discrete members at the same
+// rate would get (up to summation order; a one-member class is the
+// discrete computation itself), so the fluid trajectory is the exact
+// population dynamics, not an approximation of the per-gateway
+// mechanics; this package only integrates it. The only approximation
+// is in time: the discrete map r' = max(0, r + f) is the
 // explicit-Euler discretization of the ODE with step h = 1, so fluid
 // and discrete trajectories agree to O(h·λ) and converge as the paper's
 // per-connection gains shrink like η ~ 1/N (experiment E23 measures
@@ -49,11 +51,13 @@ package fluid
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"github.com/nettheory/feedbackflow/internal/control"
 	"github.com/nettheory/feedbackflow/internal/finite"
 	"github.com/nettheory/feedbackflow/internal/queueing"
+	"github.com/nettheory/feedbackflow/internal/scenario"
 	"github.com/nettheory/feedbackflow/internal/signal"
 )
 
@@ -108,10 +112,9 @@ func (m Method) String() string {
 type Config struct {
 	Gateways []Gateway
 	Classes  []Class
-	// Discipline is the gateway service discipline; queueing.FairShare
-	// and queueing.FIFO are supported (the two the paper's design
-	// space uses — the non-preemptive variants have no weighted kernel
-	// yet).
+	// Discipline is the gateway service discipline. It must implement
+	// queueing.InPlace, whose weighted kernel evaluates a gateway's
+	// classes directly; every discipline in internal/queueing does.
 	Discipline queueing.Discipline
 	// Style and Signal select the congestion signalling, as in core.
 	Style  signal.Style
@@ -136,19 +139,22 @@ type System struct {
 	mu, lat  []float64
 	gwWeight []float64 // Σ weights of classes through the gateway
 
-	fairshare bool
-	style     signal.Style
-	b         signal.Func
-	method    Method
-	step      float64 // 0 = adaptive
+	disc   queueing.InPlace
+	style  signal.Style
+	b      signal.Func
+	method Method
+	step   float64 // 0 = adaptive
 
 	// members[a] lists the classes through gateway a; slot[c][hop] is
 	// the flat scratch index of class c's entry at its hop'th gateway,
 	// so per-gateway results land once and are read per-class without
-	// searching. off[a] is gateway a's first flat slot.
+	// searching. off[a] is gateway a's first flat slot, and slotW is
+	// the kernels' multiplicity column: the weight of the class in
+	// each flat slot.
 	members [][]int
 	slots   [][]int
 	off     []int
+	slotW   []float64
 	total   int // Σ_a len(members[a])
 	maxGw   int // largest single-gateway class count
 
@@ -171,16 +177,11 @@ func New(cfg Config) (*System, error) {
 	default:
 		return nil, fmt.Errorf("fluid: unknown feedback style %v", cfg.Style)
 	}
-	var fairshare bool
-	switch cfg.Discipline.(type) {
-	case queueing.FairShare:
-		fairshare = true
-	case queueing.FIFO:
-		fairshare = false
-	default:
-		if cfg.Discipline == nil {
-			return nil, fmt.Errorf("fluid: no discipline")
-		}
+	if cfg.Discipline == nil {
+		return nil, fmt.Errorf("fluid: no discipline")
+	}
+	disc, ok := cfg.Discipline.(queueing.InPlace)
+	if !ok {
 		return nil, fmt.Errorf("fluid: discipline %s has no weighted kernel", cfg.Discipline.Name())
 	}
 	switch cfg.Method {
@@ -192,22 +193,23 @@ func New(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("fluid: step %v must be positive (or 0 for adaptive)", cfg.Step)
 	}
 
+	const maxWeight = float64(scenario.MaxCount)
 	nGws, nCls := len(cfg.Gateways), len(cfg.Classes)
 	s := &System{
-		weights:   make([]float64, nCls),
-		laws:      make([]control.Law, nCls),
-		routes:    make([][]int, nCls),
-		mu:        make([]float64, nGws),
-		lat:       make([]float64, nGws),
-		gwWeight:  make([]float64, nGws),
-		fairshare: fairshare,
-		style:     cfg.Style,
-		b:         cfg.Signal,
-		method:    cfg.Method,
-		step:      cfg.Step,
-		members:   make([][]int, nGws),
-		slots:     make([][]int, nCls),
-		off:       make([]int, nGws+1),
+		weights:  make([]float64, nCls),
+		laws:     make([]control.Law, nCls),
+		routes:   make([][]int, nCls),
+		mu:       make([]float64, nGws),
+		lat:      make([]float64, nGws),
+		gwWeight: make([]float64, nGws),
+		disc:     disc,
+		style:    cfg.Style,
+		b:        cfg.Signal,
+		method:   cfg.Method,
+		step:     cfg.Step,
+		members:  make([][]int, nGws),
+		slots:    make([][]int, nCls),
+		off:      make([]int, nGws+1),
 	}
 	for a, g := range cfg.Gateways {
 		if finite.IsBad(g.Mu) || g.Mu <= 0 {
@@ -220,8 +222,11 @@ func New(cfg Config) (*System, error) {
 		s.lat[a] = g.Latency
 	}
 	for c, cl := range cfg.Classes {
-		if finite.IsBad(cl.Weight) || cl.Weight < 1 {
-			return nil, fmt.Errorf("fluid: class %d weight %v must be >= 1 and finite", c, cl.Weight)
+		// A weight is a member count: the report prints it as an
+		// integer, and scenario.MaxCount keeps every count and gateway
+		// total exact in float64.
+		if finite.IsBad(cl.Weight) || cl.Weight < 1 || cl.Weight > maxWeight || cl.Weight != math.Trunc(cl.Weight) {
+			return nil, fmt.Errorf("fluid: class %d weight %v must be a whole member count in [1, %d]", c, cl.Weight, scenario.MaxCount)
 		}
 		if cl.Law == nil {
 			return nil, fmt.Errorf("fluid: class %d has no law", c)
@@ -255,12 +260,21 @@ func New(cfg Config) (*System, error) {
 		}
 	}
 	for a := 0; a < nGws; a++ {
+		if s.gwWeight[a] > maxWeight {
+			return nil, fmt.Errorf("fluid: gateway %d carries %v members, more than %d", a, s.gwWeight[a], scenario.MaxCount)
+		}
 		s.off[a+1] = s.off[a] + len(s.members[a])
 		if len(s.members[a]) > s.maxGw {
 			s.maxGw = len(s.members[a])
 		}
 	}
 	s.total = s.off[nGws]
+	s.slotW = make([]float64, s.total)
+	for a, mem := range s.members {
+		for k, c := range mem {
+			s.slotW[s.off[a]+k] = s.weights[c]
+		}
+	}
 	for c, route := range s.routes {
 		for hop, a := range route {
 			s.slots[c][hop] += s.off[a]
@@ -304,5 +318,10 @@ func (s *System) Population() float64 {
 	return t
 }
 
-func (s *System) acquire() *workspace  { return s.pool.Get().(*workspace) }
+func (s *System) acquire() *workspace {
+	w := s.pool.Get().(*workspace)
+	w.err = nil
+	return w
+}
+
 func (s *System) release(w *workspace) { s.pool.Put(w) }

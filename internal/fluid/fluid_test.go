@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/nettheory/feedbackflow/internal/control"
 	"github.com/nettheory/feedbackflow/internal/core"
 	"github.com/nettheory/feedbackflow/internal/queueing"
 	"github.com/nettheory/feedbackflow/internal/scenario"
@@ -64,54 +65,95 @@ func supDiff(a, b []float64) float64 {
 	return m
 }
 
-// TestDegenerateBitwise pins the ISSUE's degenerate case: one class of
-// one member in Euler lockstep is the discrete iteration itself —
-// trajectory and steady state bit-identical, step counts equal.
+// withDiscipline rebuilds a discrete system and its fluid counterpart
+// under discipline d — the scenario format only names the paper's
+// fifo and fairshare, so the non-preemptive ablation is swapped in
+// here.
+func withDiscipline(t *testing.T, dsys *core.System, fsys *System, d queueing.Discipline) (*core.System, *System) {
+	t.Helper()
+	laws := make([]control.Law, dsys.Network().NumConnections())
+	for i := range laws {
+		laws[i] = dsys.Law(i)
+	}
+	dd, err := core.NewSystem(dsys.Network(), d, dsys.Style(), dsys.SignalFunc(), laws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Discipline: d, Style: fsys.style, Signal: fsys.b, Method: fsys.method, Step: fsys.step}
+	for a := range fsys.mu {
+		cfg.Gateways = append(cfg.Gateways, Gateway{Mu: fsys.mu[a], Latency: fsys.lat[a]})
+	}
+	for c, w := range fsys.weights {
+		cfg.Classes = append(cfg.Classes, Class{Weight: w, Law: fsys.laws[c], Route: fsys.routes[c]})
+	}
+	fd, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dd, fd
+}
+
+// lockstepDisciplines are the disciplines the lockstep tests cover:
+// the paper's two plus the non-preemptive ablation, which the fluid
+// backend runs through the same weighted-kernel interface.
+var lockstepDisciplines = []queueing.Discipline{
+	queueing.FairShare{}, queueing.FIFO{}, queueing.NonPreemptiveFairShare{},
+}
+
+// TestDegenerateBitwise pins the degenerate case: one class of one
+// member in Euler lockstep is the discrete iteration itself —
+// trajectory and steady state bit-identical, step counts equal — under
+// every discipline.
 func TestDegenerateBitwise(t *testing.T) {
 	sp := loadSpec(t, specJSON("fairshare", "individual", 0.05, 1, 0))
 	sp.Connections = sp.Connections[:1] // single connection, single class
-	dsys, dr0, err := sp.Build()
+	dsys0, dr0, err := sp.Build()
 	if err != nil {
 		t.Fatalf("discrete build: %v", err)
 	}
-	fsys, fr0, err := FromSpec(sp)
+	fsys0, fr0, err := FromSpec(sp)
 	if err != nil {
 		t.Fatalf("fluid build: %v", err)
 	}
-	if fsys.NumClasses() != 1 {
-		t.Fatalf("NumClasses = %d, want 1", fsys.NumClasses())
+	if fsys0.NumClasses() != 1 {
+		t.Fatalf("NumClasses = %d, want 1", fsys0.NumClasses())
 	}
-	if err := fsys.SetStepping(Euler, 1); err != nil {
-		t.Fatalf("SetStepping: %v", err)
-	}
-	opt := sp.RunOptions()
-	opt.Record = true
-	dres, err := dsys.Run(dr0, opt)
-	if err != nil {
-		t.Fatalf("discrete run: %v", err)
-	}
-	fres, err := fsys.Run(fr0, opt)
-	if err != nil {
-		t.Fatalf("fluid run: %v", err)
-	}
-	if dres.Steps != fres.Steps || dres.Converged != fres.Converged {
-		t.Fatalf("steps/converged: discrete (%d, %v) vs fluid (%d, %v)",
-			dres.Steps, dres.Converged, fres.Steps, fres.Converged)
-	}
-	if len(dres.Trajectory) != len(fres.Trajectory) {
-		t.Fatalf("trajectory lengths %d vs %d", len(dres.Trajectory), len(fres.Trajectory))
-	}
-	for step := range dres.Trajectory {
-		if dres.Trajectory[step][0] != fres.Trajectory[step][0] {
-			t.Fatalf("step %d: discrete %x vs fluid %x", step,
-				dres.Trajectory[step][0], fres.Trajectory[step][0])
-		}
-	}
-	if dres.Rates[0] != fres.Rates[0] {
-		t.Fatalf("final rate: discrete %x vs fluid %x", dres.Rates[0], fres.Rates[0])
-	}
-	if dres.Stats.FinalResidual != fres.Stats.FinalResidual {
-		t.Fatalf("final residual: %v vs %v", dres.Stats.FinalResidual, fres.Stats.FinalResidual)
+	for _, disc := range lockstepDisciplines {
+		t.Run(disc.Name(), func(t *testing.T) {
+			dsys, fsys := withDiscipline(t, dsys0, fsys0, disc)
+			if err := fsys.SetStepping(Euler, 1); err != nil {
+				t.Fatalf("SetStepping: %v", err)
+			}
+			opt := sp.RunOptions()
+			opt.Record = true
+			dres, err := dsys.Run(dr0, opt)
+			if err != nil {
+				t.Fatalf("discrete run: %v", err)
+			}
+			fres, err := fsys.Run(fr0, opt)
+			if err != nil {
+				t.Fatalf("fluid run: %v", err)
+			}
+			if dres.Steps != fres.Steps || dres.Converged != fres.Converged {
+				t.Fatalf("steps/converged: discrete (%d, %v) vs fluid (%d, %v)",
+					dres.Steps, dres.Converged, fres.Steps, fres.Converged)
+			}
+			if len(dres.Trajectory) != len(fres.Trajectory) {
+				t.Fatalf("trajectory lengths %d vs %d", len(dres.Trajectory), len(fres.Trajectory))
+			}
+			for step := range dres.Trajectory {
+				if dres.Trajectory[step][0] != fres.Trajectory[step][0] {
+					t.Fatalf("step %d: discrete %x vs fluid %x", step,
+						dres.Trajectory[step][0], fres.Trajectory[step][0])
+				}
+			}
+			if dres.Rates[0] != fres.Rates[0] {
+				t.Fatalf("final rate: discrete %x vs fluid %x", dres.Rates[0], fres.Rates[0])
+			}
+			if dres.Stats.FinalResidual != fres.Stats.FinalResidual {
+				t.Fatalf("final residual: %v vs %v", dres.Stats.FinalResidual, fres.Stats.FinalResidual)
+			}
+		})
 	}
 }
 
@@ -186,43 +228,48 @@ func TestCorners2x2(t *testing.T) {
 // TestLockstepTrajectoryTracksExpanded compares whole trajectories,
 // not just fixed points: for a few hundred synchronous rounds the
 // collapsed weighted kernels must reproduce what the expanded discrete
-// population does, member for member.
+// population does, member for member, under every discipline.
 func TestLockstepTrajectoryTracksExpanded(t *testing.T) {
 	sp := loadSpec(t, specJSON("fairshare", "individual", 0.05, 5, 3))
 	sp.MaxSteps = 300
-	dsys, dr0, err := sp.Build()
+	dsys0, dr0, err := sp.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsys, fr0, err := FromSpec(sp)
+	fsys0, fr0, err := FromSpec(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fsys.SetStepping(Euler, 1); err != nil {
-		t.Fatal(err)
-	}
-	opt := sp.RunOptions()
-	opt.Record = true
-	opt.NoEarlyStop = true
-	dres, err := dsys.Run(dr0, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fres, err := fsys.Run(fr0, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dres.Trajectory) != len(fres.Trajectory) {
-		t.Fatalf("trajectory lengths %d vs %d", len(dres.Trajectory), len(fres.Trajectory))
-	}
-	worst := 0.0
-	for step := range dres.Trajectory {
-		if d := supDiff(dres.Trajectory[step], expandRates(fsys, fres.Trajectory[step])); d > worst {
-			worst = d
-		}
-	}
-	if worst > 1e-9 {
-		t.Fatalf("worst per-step member deviation %v exceeds 1e-9", worst)
+	for _, disc := range lockstepDisciplines {
+		t.Run(disc.Name(), func(t *testing.T) {
+			dsys, fsys := withDiscipline(t, dsys0, fsys0, disc)
+			if err := fsys.SetStepping(Euler, 1); err != nil {
+				t.Fatal(err)
+			}
+			opt := sp.RunOptions()
+			opt.Record = true
+			opt.NoEarlyStop = true
+			dres, err := dsys.Run(dr0, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fres, err := fsys.Run(fr0, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(dres.Trajectory) != len(fres.Trajectory) {
+				t.Fatalf("trajectory lengths %d vs %d", len(dres.Trajectory), len(fres.Trajectory))
+			}
+			worst := 0.0
+			for step := range dres.Trajectory {
+				if d := supDiff(dres.Trajectory[step], expandRates(fsys, fres.Trajectory[step])); d > worst {
+					worst = d
+				}
+			}
+			if worst > 1e-9 {
+				t.Fatalf("worst per-step member deviation %v exceeds 1e-9", worst)
+			}
+		})
 	}
 }
 
@@ -377,6 +424,10 @@ func TestReportShape(t *testing.T) {
 	}
 }
 
+// plainDiscipline hides a discipline's weighted kernel, leaving only
+// the allocating Discipline methods.
+type plainDiscipline struct{ queueing.Discipline }
+
 func TestValidation(t *testing.T) {
 	law := func() Class {
 		sys, _ := largeNSystem(t, 1)
@@ -393,17 +444,25 @@ func TestValidation(t *testing.T) {
 		}
 	}
 	for name, mutate := range map[string]func(*Config){
-		"no gateways":     func(c *Config) { c.Gateways = nil },
-		"no classes":      func(c *Config) { c.Classes = nil },
-		"no signal":       func(c *Config) { c.Signal = nil },
-		"bad mu":          func(c *Config) { c.Gateways[0].Mu = math.Inf(1) },
-		"bad latency":     func(c *Config) { c.Gateways[0].Latency = -1 },
-		"bad weight":      func(c *Config) { c.Classes[0].Weight = 0.5 },
-		"nan weight":      func(c *Config) { c.Classes[0].Weight = math.NaN() },
-		"empty route":     func(c *Config) { c.Classes[0].Route = nil },
-		"unknown gateway": func(c *Config) { c.Classes[0].Route = []int{3} },
-		"dup gateway":     func(c *Config) { c.Classes[0].Route = []int{0, 0} },
-		"bad step":        func(c *Config) { c.Step = math.NaN() },
+		"no gateways":       func(c *Config) { c.Gateways = nil },
+		"no classes":        func(c *Config) { c.Classes = nil },
+		"no signal":         func(c *Config) { c.Signal = nil },
+		"bad mu":            func(c *Config) { c.Gateways[0].Mu = math.Inf(1) },
+		"bad latency":       func(c *Config) { c.Gateways[0].Latency = -1 },
+		"bad weight":        func(c *Config) { c.Classes[0].Weight = 0.5 },
+		"nan weight":        func(c *Config) { c.Classes[0].Weight = math.NaN() },
+		"fractional weight": func(c *Config) { c.Classes[0].Weight = 1.5 },
+		"huge weight":       func(c *Config) { c.Classes[0].Weight = 1e300 },
+		"gateway total": func(c *Config) {
+			c.Classes[0].Weight = float64(scenario.MaxCount)
+			c.Classes = append(c.Classes, c.Classes[0])
+		},
+		"no discipline":      func(c *Config) { c.Discipline = nil },
+		"no weighted kernel": func(c *Config) { c.Discipline = plainDiscipline{queueing.FIFO{}} },
+		"empty route":        func(c *Config) { c.Classes[0].Route = nil },
+		"unknown gateway":    func(c *Config) { c.Classes[0].Route = []int{3} },
+		"dup gateway":        func(c *Config) { c.Classes[0].Route = []int{0, 0} },
+		"bad step":           func(c *Config) { c.Step = math.NaN() },
 	} {
 		t.Run(name, func(t *testing.T) {
 			cfg := base()

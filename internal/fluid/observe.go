@@ -2,8 +2,6 @@ package fluid
 
 import (
 	"fmt"
-	"math"
-	"slices"
 
 	"github.com/nettheory/feedbackflow/internal/core"
 	"github.com/nettheory/feedbackflow/internal/finite"
@@ -12,17 +10,26 @@ import (
 )
 
 // workspace holds every buffer one integration needs — flat
-// per-(gateway, class) observation scratch, per-class stage and drift
-// vectors — so repeated derivative evaluations allocate nothing. One
-// workspace per goroutine; System.Run draws from the internal pool.
+// per-(gateway, class) observation columns, the shared kernels'
+// scratch, per-class stage and drift vectors — so repeated derivative
+// evaluations allocate nothing. One workspace per goroutine;
+// System.Run draws from the internal pool.
 type workspace struct {
 	// Per-gateway scratch, sized to the largest single gateway.
 	rloc []float64 // member rates, local order
-	idx  []int     // sort permutation
+	qscr queueing.Scratch
+	sscr signal.Scratch
 
 	// Flat per-(gateway, member-class) columns, gateway a's block at
 	// [off[a], off[a+1]).
 	q, soj, sig []float64
+
+	// err is the first kernel failure since acquire. derivInto has no
+	// error return, so that the stage schemes stay plain arithmetic;
+	// Run checks err after every step and Observe after its
+	// evaluation. The kernels only fail on invalid input, which New,
+	// checkRates and the stage clamp rule out.
+	err error
 
 	// Per-class columns.
 	bR, dR         []float64 // combined signal/delay at the accepted point
@@ -35,9 +42,8 @@ type workspace struct {
 
 func (s *System) newWorkspace() *workspace {
 	nC := len(s.weights)
-	return &workspace{
+	w := &workspace{
 		rloc: make([]float64, s.maxGw),
-		idx:  make([]int, s.maxGw),
 		q:    make([]float64, s.total),
 		soj:  make([]float64, s.total),
 		sig:  make([]float64, s.total),
@@ -55,18 +61,35 @@ func (s *System) newWorkspace() *workspace {
 		y2:   make([]float64, nC),
 		mid:  make([]float64, nC),
 	}
+	w.qscr.Grow(s.maxGw)
+	w.sscr.Grow(s.maxGw)
+	return w
 }
 
 // derivInto evaluates the fluid drift Φ at the class rate vector r:
-// per-gateway weighted observation, per-class bottleneck combine, law
-// adjust, and the boundary projection (a class at rate 0 with negative
-// drift stays at 0, the ODE counterpart of the discrete max(0, ·)).
-// f receives the drift, b and d the combined signal and delay at r.
+// per-gateway observation by the shared weighted kernels, per-class
+// bottleneck combine, law adjust, and the boundary projection (a class
+// at rate 0 with negative drift stays at 0, the ODE counterpart of the
+// discrete max(0, ·)). f receives the drift, b and d the combined
+// signal and delay at r; a kernel failure lands in w.err.
 //
 //ffc:hotpath
 func (s *System) derivInto(w *workspace, r, f, b, d []float64) {
-	for a := range s.members {
-		s.observeGateway(a, r, w)
+	for a, mem := range s.members {
+		lo, hi := s.off[a], s.off[a+1]
+		if lo == hi {
+			continue // no class crosses this gateway
+		}
+		rl, q, m := w.rloc[:hi-lo], w.q[lo:hi], s.slotW[lo:hi]
+		for k, c := range mem {
+			rl[k] = r[c]
+		}
+		if err := s.disc.ObserveWeighted(q, w.soj[lo:hi], rl, m, s.mu[a], &w.qscr); err != nil && w.err == nil {
+			w.err = err
+		}
+		if err := signal.GatewaySignalsWeighted(w.sig[lo:hi], s.style, s.b, q, m, &w.sscr); err != nil && w.err == nil {
+			w.err = err
+		}
 	}
 	for c := range f {
 		slots := s.slots[c]
@@ -87,174 +110,6 @@ func (s *System) derivInto(w *workspace, r, f, b, d []float64) {
 		}
 		f[c] = fc
 	}
-}
-
-// observeGateway fills gateway a's flat block of queues, sojourns, and
-// signals from the current class rates.
-//
-//ffc:hotpath
-func (s *System) observeGateway(a int, r []float64, w *workspace) {
-	mem := s.members[a]
-	n := len(mem)
-	lo := s.off[a]
-	q := w.q[lo : lo+n]
-	soj := w.soj[lo : lo+n]
-	rl := w.rloc[:n]
-	for k, c := range mem {
-		rl[k] = r[c]
-	}
-	if s.fairshare {
-		s.fsObserve(a, rl, q, soj, w)
-	} else {
-		s.fifoObserve(a, rl, q, soj)
-	}
-	s.signalsInto(a, w.sig[lo:lo+n], q, w)
-}
-
-// fsObserve is the weighted Fair Share kernel: the forward
-// substitution of queueing.FairShare.ObserveInto with every
-// connection-count multiplicity replaced by the class weight. Within a
-// block of equal rates the discrete recursion gives every member the
-// same queue (the cumulative load is constant across the block and the
-// per-member division telescopes), so one class of weight w at rate
-// r_c produces exactly the queue w discrete members would: q_c =
-// (g(L) − ΣQ_below)/W_remaining. Overload latches +Inf from the first
-// overloaded class upward, zero-rate classes see a bare service time,
-// and the tiny-negative clamp mirrors the discrete kernel — all so the
-// degenerate one-member class is bit-identical to the discrete path.
-//
-//ffc:hotpath
-func (s *System) fsObserve(a int, rl, q, soj []float64, w *workspace) {
-	n := len(rl)
-	mu := s.mu[a]
-	mem := s.members[a]
-	idx := w.idx[:n]
-	for k := range idx {
-		idx[k] = k
-	}
-	stableSortByVal(idx, rl)
-	wtot := s.gwWeight[a]
-	sumQ := 0.0
-	cum := 0.0       // Σ w·r over classes sorted strictly below
-	processed := 0.0 // Σ w over classes sorted strictly below (zero-rate included)
-	for pos, k := range idx {
-		ri := rl[k]
-		wc := s.weights[mem[k]]
-		if ri == 0 {
-			q[k] = 0
-			processed += wc
-			continue
-		}
-		wrem := wtot - processed
-		load := (cum + wrem*ri) / mu
-		if load >= 1 {
-			for _, j := range idx[pos:] {
-				q[j] = math.Inf(1)
-			}
-			break
-		}
-		qi := (queueing.G(load) - sumQ) / wrem
-		if qi < 0 {
-			qi = 0
-		}
-		q[k] = qi
-		sumQ += wc * qi
-		cum += wc * ri
-		processed += wc
-	}
-	for k, ri := range rl {
-		switch {
-		case ri == 0:
-			soj[k] = 1 / mu
-		case math.IsInf(q[k], 1):
-			soj[k] = math.Inf(1)
-		default:
-			soj[k] = q[k] / ri
-		}
-	}
-}
-
-// fifoObserve is the weighted FIFO kernel: ρ = Σ w·r/μ, every class's
-// queue scales with its own load, every packet sees the same sojourn.
-//
-//ffc:hotpath
-func (s *System) fifoObserve(a int, rl, q, soj []float64) {
-	mu := s.mu[a]
-	mem := s.members[a]
-	sum := 0.0
-	for k, ri := range rl {
-		sum += s.weights[mem[k]] * ri
-	}
-	rho := sum / mu
-	if rho >= 1 {
-		for k, ri := range rl {
-			if ri > 0 {
-				q[k] = math.Inf(1)
-			} else {
-				q[k] = 0
-			}
-			soj[k] = math.Inf(1)
-		}
-		return
-	}
-	sj := 1 / (mu * (1 - rho))
-	for k, ri := range rl {
-		q[k] = (ri / mu) / (1 - rho)
-		soj[k] = sj
-	}
-}
-
-// signalsInto is the weighted counterpart of
-// signal.GatewaySignalsBatched: aggregate congestion is the weighted
-// queue total; individual congestion sorts classes by queue and reads
-// C_c = Σ_{below} w·q + W_remaining·q_c from the running prefix, which
-// reproduces Σ_k min(Q_k, Q_c) over the expanded population.
-//
-//ffc:hotpath
-func (s *System) signalsInto(a int, sig, q []float64, w *workspace) {
-	mem := s.members[a]
-	if s.style == signal.Aggregate {
-		c := 0.0
-		for k := range q {
-			c += s.weights[mem[k]] * q[k]
-		}
-		v := s.b.Eval(c)
-		for k := range sig {
-			sig[k] = v
-		}
-		return
-	}
-	n := len(q)
-	idx := w.idx[:n]
-	for k := range idx {
-		idx[k] = k
-	}
-	stableSortByVal(idx, q)
-	wtot := s.gwWeight[a]
-	cum := 0.0
-	processed := 0.0
-	for _, k := range idx {
-		qi := q[k]
-		wc := s.weights[mem[k]]
-		sig[k] = s.b.Eval(cum + (wtot-processed)*qi)
-		cum += wc * qi
-		processed += wc
-	}
-}
-
-// stableSortByVal stably sorts indices by ascending value without
-// allocating (+Inf sorts last, which is exactly what the overload
-// latches rely on).
-func stableSortByVal(idx []int, v []float64) {
-	slices.SortStableFunc(idx, func(a, b int) int {
-		switch {
-		case v[a] < v[b]:
-			return -1
-		case v[a] > v[b]:
-			return 1
-		}
-		return 0
-	})
 }
 
 // checkRates validates a caller-supplied rate vector at the Run and
@@ -284,6 +139,9 @@ func (s *System) Observe(r []float64) (*core.Observation, error) {
 	w := s.acquire()
 	defer s.release(w)
 	s.derivInto(w, r, w.k1, w.bR, w.dR)
+	if w.err != nil {
+		return nil, fmt.Errorf("fluid: %w", w.err)
+	}
 	o := &core.Observation{
 		Signals:     append([]float64(nil), w.bR...),
 		Delays:      append([]float64(nil), w.dR...),

@@ -3,19 +3,9 @@ package fluid
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"github.com/nettheory/feedbackflow/internal/core"
 	"github.com/nettheory/feedbackflow/internal/obs"
-)
-
-// Defaults mirror core.RunOptions.withDefaults, which is unexported;
-// keeping them equal means a spec solved by either backend runs under
-// the same budget and convergence contract.
-const (
-	defaultMaxSteps = 20000
-	defaultTol      = 1e-10
-	defaultWindow   = 3
 )
 
 // rateCap bounds stage states: an adaptive trial step that overshoots
@@ -58,18 +48,7 @@ func (s *System) Run(r0 []float64, opt core.RunOptions) (*core.RunResult, error)
 	if opt.Hook != nil {
 		return nil, fmt.Errorf("fluid: step hooks (fault injection) are not supported; use the discrete backend")
 	}
-	if opt.MaxSteps <= 0 {
-		opt.MaxSteps = defaultMaxSteps
-	}
-	if opt.Tol <= 0 {
-		opt.Tol = defaultTol
-	}
-	if opt.Window <= 0 {
-		opt.Window = defaultWindow
-	}
-	if opt.Clock == nil {
-		opt.Clock = time.Now
-	}
+	opt = opt.WithDefaults()
 	start := opt.Clock()
 	if err := s.checkRates(r0); err != nil {
 		return nil, err
@@ -88,19 +67,31 @@ func (s *System) Run(r0 []float64, opt core.RunOptions) (*core.RunResult, error)
 		h = adaptiveH0
 	}
 	calm := 0
+	fresh := false // k1, bR and dR already hold the drift at r
 	for step := 0; step < opt.MaxSteps; step++ {
 		// Drift at the current point: k1 seeds every stage scheme and
 		// doubles as the residual and the tracer's signal source.
-		s.derivInto(w, r, w.k1, w.bR, w.dR)
+		if !fresh {
+			s.derivInto(w, r, w.k1, w.bR, w.dR)
+		}
 		resid := maxAbs(w.k1)
-		statsObserve(&res.Stats, resid, step == 0)
+		res.Stats.Observe(resid, step == 0)
 		if opt.Tracer != nil {
 			opt.Tracer.OnStep(step, r, resid, w.bR)
 		}
 		if adaptive {
 			s.adaptiveStep(w, r, next, &h, opt.Tol)
+			// The step's curvature check left the drift at the accepted
+			// state in k2, bT and dT: the next step's k1, bR and dR.
+			w.k1, w.k2 = w.k2, w.k1
+			w.bR, w.bT = w.bT, w.bR
+			w.dR, w.dT = w.dT, w.dR
+			fresh = true
 		} else {
 			s.advanceFrom(w, r, w.k1, next, h)
+		}
+		if w.err != nil {
+			return nil, fmt.Errorf("fluid: step %d: %w", step, w.err)
 		}
 		maxChange, maxRate := 0.0, 0.0
 		for i := range r {
@@ -141,7 +132,7 @@ func (s *System) Run(r0 []float64, opt core.RunOptions) (*core.RunResult, error)
 	res.Final = final
 	s.derivInto(w, r, w.k1, w.bT, w.dT)
 	finalResid := maxAbs(w.k1)
-	statsObserve(&res.Stats, finalResid, res.Steps == 0)
+	res.Stats.Observe(finalResid, res.Steps == 0)
 	res.Stats.FinalResidual = finalResid
 	res.Stats.Steps = res.Steps
 	res.Stats.WallTime = opt.Clock().Sub(start)
@@ -271,22 +262,6 @@ func maxAbs(v []float64) float64 {
 		}
 	}
 	return m
-}
-
-// statsObserve folds one residual sample into the summary, mirroring
-// the unexported core.RunStats.observe.
-func statsObserve(st *core.RunStats, resid float64, first bool) {
-	if first {
-		st.InitialResidual = resid
-		st.MinResidual, st.MaxResidual = resid, resid
-		return
-	}
-	if resid < st.MinResidual {
-		st.MinResidual = resid
-	}
-	if resid > st.MaxResidual {
-		st.MaxResidual = resid
-	}
 }
 
 // Report assembles the machine-readable run report, mirroring

@@ -66,23 +66,44 @@ func GInv(q float64) float64 {
 	return q / (1 + q)
 }
 
-// validate checks a rate vector and server rate, returning the total
-// load ρ_tot = Σ r_i / μ.
-func validate(r []float64, mu float64) (float64, error) {
+// validate checks a rate vector, its multiplicity column (nil is the
+// unit column) and a server rate, returning the total rate Σ m_i·r_i
+// (ρ_tot·μ; callers that need ρ_tot divide, the others skip the
+// division) and the total multiplicity Σ m_i.
+func validate(r, m []float64, mu float64) (sum, total float64, err error) {
 	if len(r) == 0 {
-		return 0, fmt.Errorf("queueing: empty rate vector")
+		return 0, 0, fmt.Errorf("queueing: empty rate vector")
+	}
+	if m != nil && len(m) != len(r) {
+		return 0, 0, fmt.Errorf("queueing: %d multiplicities for %d rates", len(m), len(r))
 	}
 	if mu <= 0 || math.IsNaN(mu) || math.IsInf(mu, 0) {
-		return 0, fmt.Errorf("queueing: invalid service rate %v", mu)
+		return 0, 0, fmt.Errorf("queueing: invalid service rate %v", mu)
 	}
-	sum := 0.0
 	for i, ri := range r {
 		if ri < 0 || math.IsNaN(ri) || math.IsInf(ri, 0) {
-			return 0, fmt.Errorf("queueing: invalid rate r[%d] = %v", i, ri)
+			return 0, 0, fmt.Errorf("queueing: invalid rate r[%d] = %v", i, ri)
 		}
-		sum += ri
+		mi := weight(m, i)
+		if mi <= 0 || math.IsNaN(mi) || math.IsInf(mi, 0) {
+			return 0, 0, fmt.Errorf("queueing: invalid multiplicity m[%d] = %v", i, mi)
+		}
+		sum += mi * ri
+		total += mi
 	}
-	return sum / mu, nil
+	return sum, total, nil
+}
+
+// weight is slot i's multiplicity: m[i], or 1 for the nil column that
+// stands for one connection per slot. 1·x is x bit for bit, and
+// integer-valued totals are exact far beyond any real population, so
+// the unit case of every weighted kernel computes exactly what a
+// per-connection kernel would.
+func weight(m []float64, i int) float64 {
+	if m == nil {
+		return 1
+	}
+	return m[i]
 }
 
 // TotalQueue returns the aggregate mean queue Q_tot = g(ρ_tot). It is
@@ -90,11 +111,11 @@ func validate(r []float64, mu float64) (float64, error) {
 // fact the paper uses to make aggregate congestion signals insensitive
 // to the service discipline.
 func TotalQueue(r []float64, mu float64) (float64, error) {
-	rho, err := validate(r, mu)
+	sum, _, err := validate(r, nil, mu)
 	if err != nil {
 		return 0, err
 	}
-	return G(rho), nil
+	return G(sum / mu), nil
 }
 
 // Scratch holds the reusable working storage an InPlace discipline
@@ -132,17 +153,20 @@ func (s *Scratch) grow(n int) {
 // it.
 func (s *Scratch) order(r []float64) []int {
 	s.grow(len(r))
+	sorted := true
 	for i := range s.idx {
 		s.idx[i] = i
+		sorted = sorted && (i == 0 || r[i-1] <= r[i])
 	}
-	stableSortByRate(s.idx, r)
+	if !sorted { // the identity is the stable order of sorted rates
+		stableSortByRate(s.idx, r)
+	}
 	return s.idx
 }
 
-// stableSortByRate stably sorts connection indices by ascending rate
-// without allocating. Stability makes the ordering — and therefore
-// every downstream queue value — identical to the sort.SliceStable
-// call in the allocating Queues methods.
+// stableSortByRate stably sorts slot indices by ascending rate without
+// allocating. Stability makes the ordering — and therefore every
+// downstream queue value — deterministic: equal rates keep slot order.
 func stableSortByRate(idx []int, r []float64) {
 	slices.SortStableFunc(idx, func(a, b int) int {
 		switch {
@@ -155,25 +179,33 @@ func stableSortByRate(idx []int, r []float64) {
 	})
 }
 
-// InPlace is implemented by disciplines that can evaluate their queue
-// model into caller-provided buffers without allocating. The results
-// must be bit-identical to the allocating Queues and SojournTimes
-// methods — ObserveInto is a performance path, never a different
-// model.
+// InPlace is implemented by disciplines whose queue model is a
+// weighted, allocation-free kernel — every discipline in this package.
+//
+// Slot k of a weighted call stands for m[k] identical connections at
+// rate r[k] (a class of the fluid backend, internal/fluid); q[k] and
+// w[k] are the queue and sojourn time of each one of them, exactly
+// what m[k] copies of the slot in a per-connection vector would get,
+// up to the summation order. This is the class-level model of
+// Kelly–Williams' fair bandwidth-sharing fluid limit. A nil m is the
+// unit column, one connection per slot: the case every discrete caller
+// uses, with results bit-identical to the per-connection formulas.
+// Multiplicities must be positive and finite.
 type InPlace interface {
 	Discipline
 
-	// ObserveInto writes Queues into q and SojournTimes into w (both
-	// of length len(r)), using scr for any intermediate storage.
-	ObserveInto(q, w, r []float64, mu float64, scr *Scratch) error
+	// ObserveWeighted writes the queues into q and the sojourn times
+	// into w (both of length len(r)) for rates r with multiplicities
+	// m, using scr for any intermediate storage.
+	ObserveWeighted(q, w, r, m []float64, mu float64, scr *Scratch) error
 }
 
 // ObserveInto evaluates d's queues and sojourn times at (r, mu) into q
-// and w. Disciplines implementing InPlace are evaluated without
-// allocation; any other Discipline falls back to the allocating
-// methods with results copied into the buffers, so callers get one
-// uniform zero-garbage entry point either way (modulo the fallback's
-// own allocations).
+// and w, one connection per slot. Disciplines implementing InPlace are
+// evaluated without allocation; any other Discipline falls back to
+// the allocating methods with results copied into the buffers, so
+// callers get one uniform zero-garbage entry point either way (modulo
+// the fallback's own allocations).
 //
 // The ffc:hotpath directive marks the zero-allocation contract; the
 // hotalloc analyzer rejects allocating constructs in functions
@@ -185,7 +217,7 @@ func ObserveInto(d Discipline, q, w, r []float64, mu float64, scr *Scratch) erro
 		return fmt.Errorf("queueing: buffers %d/%d for %d rates", len(q), len(w), len(r))
 	}
 	if ip, ok := d.(InPlace); ok {
-		return ip.ObserveInto(q, w, r, mu, scr)
+		return ip.ObserveWeighted(q, w, r, nil, mu, scr)
 	}
 	qq, err := d.Queues(r, mu)
 	if err != nil {
@@ -198,4 +230,16 @@ func ObserveInto(d Discipline, q, w, r []float64, mu float64, scr *Scratch) erro
 	copy(q, qq)
 	copy(w, ww)
 	return nil
+}
+
+// observe is the allocating path behind every InPlace discipline's
+// Queues and SojournTimes: one kernel call, so the entry points can
+// never drift apart.
+func observe(d InPlace, r []float64, mu float64) (q, w []float64, err error) {
+	q = make([]float64, len(r))
+	w = make([]float64, len(r))
+	if err := d.ObserveWeighted(q, w, r, nil, mu, new(Scratch)); err != nil {
+		return nil, nil, err
+	}
+	return q, w, nil
 }

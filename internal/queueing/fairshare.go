@@ -38,78 +38,91 @@ type FairShare struct{}
 // Name implements Discipline.
 func (FairShare) Name() string { return "FairShare" }
 
-// Queues implements Discipline. It is the allocating convenience over
-// ObserveInto — one code path, so the two can never drift. A key
+// Queues implements Discipline as the allocating convenience over
+// ObserveWeighted — one code path, so the two can never drift. A key
 // property visible in the overload handling: overload caused by
 // high-rate connections leaves low-rate connections' queues finite —
 // Fair Share protects them — whereas FIFO overload is total.
 func (fs FairShare) Queues(r []float64, mu float64) ([]float64, error) {
-	q := make([]float64, len(r))
-	w := make([]float64, len(r))
-	if err := fs.ObserveInto(q, w, r, mu, new(Scratch)); err != nil {
-		return nil, err
-	}
-	return q, nil
+	q, _, err := observe(fs, r, mu)
+	return q, err
 }
 
 // SojournTimes implements Discipline. W_i = Q_i/r_i for positive
 // rates; a zero-rate probe packet preempts all traffic and sees only
 // its own service time 1/μ (the r→0 limit of the recursion). Like
-// Queues it delegates to ObserveInto.
+// Queues it delegates to ObserveWeighted.
 func (fs FairShare) SojournTimes(r []float64, mu float64) ([]float64, error) {
-	q := make([]float64, len(r))
-	w := make([]float64, len(r))
-	if err := fs.ObserveInto(q, w, r, mu, new(Scratch)); err != nil {
-		return nil, err
-	}
-	return w, nil
+	_, w, err := observe(fs, r, mu)
+	return w, err
 }
 
-// ObserveInto implements InPlace: the forward-substitution recursion
-// with the cumulative class loads read from a sorted prefix sum, so
-// the whole evaluation is one sort plus one sweep — O(N log N) total,
-// zero allocations in steady state. Queues and SojournTimes are thin
-// allocating wrappers around this method, which keeps the overload
-// semantics (fill +Inf from the first overloaded class, then derive
-// every sojourn time from the queues in hand) identical across all
-// entry points by construction.
+// ObserveWeighted implements InPlace: the forward-substitution
+// recursion with the cumulative class loads read from a sorted prefix
+// sum, so the whole evaluation is one sort plus one sweep — O(N log N)
+// total, zero allocations in steady state.
+//
+// Weights enter as multiplicities: a slot of weight m stands for m
+// connections at the same rate, which the recursion treats as one
+// block. The cumulative load is constant across an equal-rate block
+// and the per-member division telescopes, so every member of the
+// block gets Q = (g(L) − ΣQ_below)/M_remaining, where ΣQ_below and the
+// rate prefix count each lower slot m times and M_remaining is the
+// multiplicity from this slot up. With unit weights M_remaining is
+// exactly N−pos.
+//
+// Overload fills +Inf from the first overloaded class upward, and
+// every sojourn time is then derived from the queues in hand, so the
+// overload semantics are the same for every entry point by
+// construction.
 //
 //ffc:hotpath
-func (fs FairShare) ObserveInto(q, w, r []float64, mu float64, scr *Scratch) error {
-	if _, err := validate(r, mu); err != nil {
+func (FairShare) ObserveWeighted(q, w, r, m []float64, mu float64, scr *Scratch) error {
+	_, total, err := validate(r, m, mu)
+	if err != nil {
 		return err
 	}
-	n := len(r)
 	idx := scr.order(r)
 	sumQ := 0.0
-	cum := 0.0 // Σ of sorted rates strictly below this position
+	cum := 0.0  // Σ m·r over the slots sorted strictly below this position
+	done := 0.0 // Σ m over the same slots, zero-rate ones included
 	for pos, i := range idx {
-		ri := r[i]
+		ri, mi := r[i], weight(m, i)
 		if ri == 0 {
 			q[i] = 0
+			done += mi
 			continue // contributes nothing to the running prefix
 		}
-		// Cumulative load through connection i's topmost priority
-		// class: every lower-sorted connection contributes its whole
-		// rate, the n−pos connections from here up contribute r_i.
-		load := (cum + float64(n-pos)*ri) / mu
+		// Cumulative load through slot i's topmost priority class:
+		// every lower-sorted connection contributes its whole rate,
+		// the rem connections from here up contribute r_i.
+		rem := total - done
+		load := (cum + rem*ri) / mu
 		if load >= 1 {
-			// Zero-rate connections sort first, so everything from pos
-			// on has a positive rate and an unbounded queue; the
-			// lower-rate connections already computed keep finite
-			// queues.
+			// Zero-rate slots sort first, so everything from pos on has
+			// a positive rate and an unbounded queue; the lower-rate
+			// slots already computed keep finite queues.
 			for _, j := range idx[pos:] {
 				q[j] = math.Inf(1)
 			}
 			break
 		}
-		qi := (G(load) - sumQ) / float64(n-pos)
+		qi := (G(load) - sumQ) / rem
 		if qi < 0 {
 			qi = 0 // guard against rounding at vanishing loads
 		}
 		q[i] = qi
-		sumQ += qi
-		cum += ri
+		// m·q is q exactly at m = 1. Skipping that multiply keeps it
+		// off the recursion's loop-carried chain (sumQ feeds the next
+		// queue), where at unit weight it would add a fifth of the
+		// sweep's latency.
+		if mi == 1 {
+			sumQ += qi
+		} else {
+			sumQ += mi * qi
+		}
+		cum += mi * ri
+		done += mi
 	}
 	for i, ri := range r {
 		switch {

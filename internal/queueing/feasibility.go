@@ -22,10 +22,11 @@ type FeasibilityReport struct {
 // CheckFeasibility tests the queue vector q against the constraints
 // for rates r and service rate mu, with relative tolerance tol.
 func CheckFeasibility(r, q []float64, mu, tol float64) (FeasibilityReport, error) {
-	rho, err := validate(r, mu)
+	sum, _, err := validate(r, nil, mu)
 	if err != nil {
 		return FeasibilityReport{}, err
 	}
+	rho := sum / mu
 	if len(q) != len(r) {
 		return FeasibilityReport{}, fmt.Errorf("queueing: %d queues for %d rates", len(q), len(r))
 	}

@@ -12,55 +12,32 @@ func (FIFO) Name() string { return "FIFO" }
 
 // Queues implements Discipline. In overload (ρ_tot ≥ 1) every
 // connection with a positive rate has an unbounded queue.
-func (FIFO) Queues(r []float64, mu float64) ([]float64, error) {
-	rho, err := validate(r, mu)
-	if err != nil {
-		return nil, err
-	}
-	q := make([]float64, len(r))
-	if rho >= 1 {
-		for i, ri := range r {
-			if ri > 0 {
-				q[i] = math.Inf(1)
-			}
-		}
-		return q, nil
-	}
-	for i, ri := range r {
-		q[i] = (ri / mu) / (1 - rho)
-	}
-	return q, nil
+func (d FIFO) Queues(r []float64, mu float64) ([]float64, error) {
+	q, _, err := observe(d, r, mu)
+	return q, err
 }
 
 // SojournTimes implements Discipline. Every packet, regardless of
 // connection, sees the same mean time in system 1/(μ − λ_tot); this is
 // exactly FIFO's lack of protection. Zero-rate probe connections see
 // the same value (PASTA).
-func (FIFO) SojournTimes(r []float64, mu float64) ([]float64, error) {
-	rho, err := validate(r, mu)
-	if err != nil {
-		return nil, err
-	}
-	w := make([]float64, len(r))
-	sojourn := math.Inf(1)
-	if rho < 1 {
-		sojourn = 1 / (mu * (1 - rho))
-	}
-	for i := range r {
-		w[i] = sojourn
-	}
-	return w, nil
+func (d FIFO) SojournTimes(r []float64, mu float64) ([]float64, error) {
+	_, w, err := observe(d, r, mu)
+	return w, err
 }
 
-// ObserveInto implements InPlace: one validation pass, both results,
-// no allocations. Values are bit-identical to Queues + SojournTimes.
+// ObserveWeighted implements InPlace: one validation pass that also
+// forms ρ_tot = Σ m·r/μ, then both results, no allocations and no
+// scratch. A slot's queue depends only on its own load and the total,
+// so multiplicities enter through ρ_tot alone.
 //
 //ffc:hotpath
-func (FIFO) ObserveInto(q, w, r []float64, mu float64, scr *Scratch) error {
-	rho, err := validate(r, mu)
+func (FIFO) ObserveWeighted(q, w, r, m []float64, mu float64, _ *Scratch) error {
+	sum, _, err := validate(r, m, mu)
 	if err != nil {
 		return err
 	}
+	rho := sum / mu
 	if rho >= 1 {
 		for i, ri := range r {
 			if ri > 0 {

@@ -32,17 +32,21 @@ type NonPreemptiveFairShare struct{}
 func (NonPreemptiveFairShare) Name() string { return "NonPreemptiveFairShare" }
 
 // Queues implements Discipline as an allocating wrapper over
-// ObserveInto — one code path for both variants.
+// ObserveWeighted — one code path for both variants.
 func (d NonPreemptiveFairShare) Queues(r []float64, mu float64) ([]float64, error) {
-	q := make([]float64, len(r))
-	w := make([]float64, len(r))
-	if err := d.ObserveInto(q, w, r, mu, new(Scratch)); err != nil {
-		return nil, err
-	}
-	return q, nil
+	q, _, err := observe(d, r, mu)
+	return q, err
 }
 
-// ObserveInto implements InPlace: the Kleinrock recursion evaluated
+// SojournTimes implements Discipline. A zero-rate probe joins the top
+// priority class but cannot preempt: it waits for the residual service
+// W0 plus its own service. Like Queues it delegates to ObserveWeighted.
+func (d NonPreemptiveFairShare) SojournTimes(r []float64, mu float64) ([]float64, error) {
+	_, w, err := observe(d, r, mu)
+	return w, err
+}
+
+// ObserveWeighted implements InPlace: the Kleinrock recursion evaluated
 // into caller buffers in O(N log N) — class loads from the sorted
 // prefix sum, per-connection Little sums as a running prefix over
 // λ_j·(W_j + 1/μ) (the running form performs the same float additions
@@ -50,32 +54,41 @@ func (d NonPreemptiveFairShare) Queues(r []float64, mu float64) ([]float64, erro
 // it changes no bits), and sojourn times derived from the queues in
 // hand rather than recomputed.
 //
+// A slot of multiplicity m is a block of m equal-rate connections, as
+// in FairShare.ObserveWeighted: only the block's first member opens a
+// new substream (the rest have λ = 0), so the block contributes one
+// class sojourn at its cumulative load and every member gets the same
+// queue. The loads and ρ_tot count each slot m times.
+//
 //ffc:hotpath
-func (d NonPreemptiveFairShare) ObserveInto(q, w, r []float64, mu float64, scr *Scratch) error {
-	if _, err := validate(r, mu); err != nil {
+func (NonPreemptiveFairShare) ObserveWeighted(q, w, r, m []float64, mu float64, scr *Scratch) error {
+	_, total, err := validate(r, m, mu)
+	if err != nil {
 		return err
 	}
-	n := len(r)
 	idx := scr.order(r)
 	classSojourn := scr.f1
 	sortedRates := scr.f2
 
 	rhoTot := 0.0
-	for _, ri := range r {
-		rhoTot += ri / mu
+	for i, ri := range r {
+		rhoTot += weight(m, i) * ri / mu
 	}
 	w0 := math.Min(rhoTot, 1) / mu
 
 	// Per sorted class j: cumulative load through the class from the
-	// running prefix (Σ of lower-sorted rates plus (n−j)·r_(j)), then
-	// the Kleinrock mean time in system of class-j packets.
+	// running prefix (Σ m·r over lower-sorted slots plus the remaining
+	// multiplicity times r_(j)), then the Kleinrock mean time in
+	// system of class-j packets.
 	prevLoad := 0.0
-	cum := 0.0 // Σ of sorted rates strictly below class j
+	cum := 0.0  // Σ m·r over the slots sorted strictly below class j
+	done := 0.0 // Σ m over the same slots
 	for j, i := range idx {
-		ri := r[i]
+		ri, mi := r[i], weight(m, i)
 		sortedRates[j] = ri
-		load := (cum + float64(n-j)*ri) / mu
-		cum += ri
+		load := (cum + (total-done)*ri) / mu
+		cum += mi * ri
+		done += mi
 		if load >= 1 {
 			classSojourn[j] = math.Inf(1)
 		} else {
@@ -118,16 +131,4 @@ func (d NonPreemptiveFairShare) ObserveInto(q, w, r []float64, mu float64, scr *
 		}
 	}
 	return nil
-}
-
-// SojournTimes implements Discipline. A zero-rate probe joins the top
-// priority class but cannot preempt: it waits for the residual service
-// W0 plus its own service. Like Queues it delegates to ObserveInto.
-func (d NonPreemptiveFairShare) SojournTimes(r []float64, mu float64) ([]float64, error) {
-	q := make([]float64, len(r))
-	w := make([]float64, len(r))
-	if err := d.ObserveInto(q, w, r, mu, new(Scratch)); err != nil {
-		return nil, err
-	}
-	return w, nil
 }

@@ -232,7 +232,7 @@ func checkAgainstNaive(t *testing.T, d InPlace, scr *Scratch,
 	want := naive(t, r, mu)
 	q := make([]float64, len(r))
 	w := make([]float64, len(r))
-	if err := d.ObserveInto(q, w, r, mu, scr); err != nil {
+	if err := ObserveInto(d, q, w, r, mu, scr); err != nil {
 		t.Fatalf("%s.ObserveInto(%v, %v): %v", d.Name(), r, mu, err)
 	}
 	for i := range r {
@@ -339,7 +339,7 @@ func TestFairShareOverloadBoundaryExact(t *testing.T) {
 	// The in-place variant must agree bit for bit (shared code path).
 	q2 := make([]float64, 3)
 	w2 := make([]float64, 3)
-	if err := fs.ObserveInto(q2, w2, r, mu, new(Scratch)); err != nil {
+	if err := ObserveInto(fs, q2, w2, r, mu, new(Scratch)); err != nil {
 		t.Fatal(err)
 	}
 	for i := range r {
@@ -381,7 +381,7 @@ func TestFairShareTotalOverloadExact(t *testing.T) {
 	for _, d := range []InPlace{FairShare{}, NonPreemptiveFairShare{}} {
 		q := make([]float64, 3)
 		w := make([]float64, 3)
-		if err := d.ObserveInto(q, w, r, mu, new(Scratch)); err != nil {
+		if err := ObserveInto(d, q, w, r, mu, new(Scratch)); err != nil {
 			t.Fatal(err)
 		}
 		if q[0] != 0 {
@@ -419,11 +419,11 @@ func TestPrefixKernelsZeroAlloc(t *testing.T) {
 	for _, d := range []InPlace{FIFO{}, FairShare{}, NonPreemptiveFairShare{}} {
 		scr := new(Scratch)
 		scr.Grow(n)
-		if err := d.ObserveInto(q, w, r, mu, scr); err != nil {
+		if err := ObserveInto(d, q, w, r, mu, scr); err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(50, func() {
-			if err := d.ObserveInto(q, w, r, mu, scr); err != nil {
+			if err := ObserveInto(d, q, w, r, mu, scr); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -510,5 +510,175 @@ func TestPriorityRowsStreamsLargeN(t *testing.T) {
 	}
 	if rows != n {
 		t.Fatalf("streamed %d rows, want %d", rows, n)
+	}
+}
+
+// randomWeights draws integer multiplicities in [1, maxW].
+func randomWeights(rng *rand.Rand, n, maxW int) []float64 {
+	m := make([]float64, n)
+	for i := range m {
+		m[i] = float64(1 + rng.Intn(maxW))
+	}
+	return m
+}
+
+// expand repeats slot k of v m[k] times, in slot order: the
+// per-connection vector a weighted slot vector stands for.
+func expand(v, m []float64) []float64 {
+	var x []float64
+	for k, vk := range v {
+		for c := 0; c < int(m[k]); c++ {
+			x = append(x, vk)
+		}
+	}
+	return x
+}
+
+// scaleWeightedLoad rescales r so that Σ m·r = targetLoad·μ, leaving
+// all-zero and denormal-only draws as drawn (see randomRates).
+func scaleWeightedLoad(r, m []float64, mu, targetLoad float64) {
+	sum := 0.0
+	for i, ri := range r {
+		sum += m[i] * ri
+	}
+	if sum < 1e-300 {
+		return
+	}
+	for i := range r {
+		r[i] *= targetLoad * mu / sum
+	}
+}
+
+// checkWeightedAgainstExpanded runs d's weighted kernel on (r, m) and
+// its unit-weight kernel on the expanded vector: every copy of slot k
+// must carry slot k's queue, bit for bit or within the tolerance
+// contract (which always demands exact +Inf agreement). Bitwise runs
+// compare sojourn times too; under the tolerance they are left out,
+// because both paths derive W = Q/r by the same division, which turns
+// a queue's absolute rounding into an unbounded sojourn difference at
+// denormal rates.
+func checkWeightedAgainstExpanded(t *testing.T, d InPlace, scr *Scratch, r, m []float64, mu float64, bitwise bool) {
+	t.Helper()
+	x := expand(r, m)
+	qx := make([]float64, len(x))
+	wx := make([]float64, len(x))
+	if err := ObserveInto(d, qx, wx, x, mu, scr); err != nil {
+		t.Fatalf("%s expanded: %v", d.Name(), err)
+	}
+	q := make([]float64, len(r))
+	w := make([]float64, len(r))
+	if err := d.ObserveWeighted(q, w, r, m, mu, scr); err != nil {
+		t.Fatalf("%s weighted: %v", d.Name(), err)
+	}
+	pos := 0
+	for k := range r {
+		for c := 0; c < int(m[k]); c++ {
+			var ok bool
+			if bitwise {
+				ok = sameFloat(q[k], qx[pos]) && sameFloat(w[k], wx[pos])
+			} else {
+				ok = closeEnough(q[k], qx[pos])
+			}
+			if !ok {
+				t.Errorf("%s r=%v m=%v mu=%v: slot %d copy %d: weighted queue/sojourn %v/%v, expanded %v/%v",
+					d.Name(), r, m, mu, k, c, q[k], w[k], qx[pos], wx[pos])
+			}
+			pos++
+		}
+	}
+}
+
+// TestPropWeightedKernelsMatchExpanded sweeps random integer
+// multiplicities through every discipline's weighted kernel against
+// the unit-weight kernel on the expanded vector, over the same mix of
+// zeros, ties, denormals, underload, and clear overload as the naive
+// tables above.
+func TestPropWeightedKernelsMatchExpanded(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for _, d := range []InPlace{FIFO{}, FairShare{}, NonPreemptiveFairShare{}} {
+		scr := new(Scratch)
+		for trial := 0; trial < 300; trial++ {
+			n := 1 + rng.Intn(24)
+			m := randomWeights(rng, n, 9)
+			mu := 0.5 + rng.Float64()*3
+			targetLoad := rng.Float64() * 0.95
+			if trial%3 == 2 {
+				targetLoad = 1.1 + rng.Float64()*2
+			}
+			r := randomRates(rng, n, mu, targetLoad)
+			scaleWeightedLoad(r, m, mu, targetLoad)
+			if nearOverloadBoundary(expand(r, m), mu) {
+				continue
+			}
+			checkWeightedAgainstExpanded(t, d, scr, r, m, mu, false)
+		}
+	}
+}
+
+// TestPropWeightedKernelsBitwiseOnDyadic: with dyadic rates and a
+// power-of-two μ every load and prefix sum is exact, so FIFO's and
+// the non-preemptive kernel's weighted results must equal the
+// expanded ones bit for bit. Fair Share is held to the tolerance
+// contract even here: g(L) is not dyadic, and the expanded recursion
+// divides a block's share out one member at a time where the weighted
+// one divides once. Its exact loads still pin the overload cutoff,
+// which the contract's exact +Inf agreement checks.
+func TestPropWeightedKernelsBitwiseOnDyadic(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	mus := []float64{0.25, 0.5, 1, 2, 64}
+	for _, d := range []InPlace{FIFO{}, FairShare{}, NonPreemptiveFairShare{}} {
+		_, fs := d.(FairShare)
+		scr := new(Scratch)
+		for trial := 0; trial < 300; trial++ {
+			n := 1 + rng.Intn(24)
+			checkWeightedAgainstExpanded(t, d, scr, dyadicRates(rng, n), randomWeights(rng, n, 9),
+				mus[rng.Intn(len(mus))], !fs)
+		}
+	}
+}
+
+// TestWeightedUnitColumnIsUnitKernel pins the unit case: an explicit
+// column of ones gives exactly the bits of the nil column, on
+// arbitrary (non-dyadic) inputs.
+func TestWeightedUnitColumnIsUnitKernel(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	for _, d := range []InPlace{FIFO{}, FairShare{}, NonPreemptiveFairShare{}} {
+		scr := new(Scratch)
+		for trial := 0; trial < 200; trial++ {
+			n := 1 + rng.Intn(64)
+			mu := 0.5 + rng.Float64()*3
+			r := randomRates(rng, n, mu, rng.Float64()*2)
+			ones := make([]float64, n)
+			for i := range ones {
+				ones[i] = 1
+			}
+			q1, w1 := make([]float64, n), make([]float64, n)
+			q2, w2 := make([]float64, n), make([]float64, n)
+			if err := d.ObserveWeighted(q1, w1, r, nil, mu, scr); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.ObserveWeighted(q2, w2, r, ones, mu, scr); err != nil {
+				t.Fatal(err)
+			}
+			for i := range r {
+				if !sameFloat(q1[i], q2[i]) || !sameFloat(w1[i], w2[i]) {
+					t.Fatalf("%s r=%v: slot %d nil column %v/%v, ones column %v/%v",
+						d.Name(), r, i, q1[i], w1[i], q2[i], w2[i])
+				}
+			}
+		}
+	}
+}
+
+// TestWeightedRejectsBadMultiplicities: the column must match the
+// rates and hold positive finite multiplicities.
+func TestWeightedRejectsBadMultiplicities(t *testing.T) {
+	q, w := make([]float64, 2), make([]float64, 2)
+	for _, m := range [][]float64{{1}, {1, 0}, {1, -2}, {math.NaN(), 1}, {1, math.Inf(1)}} {
+		for _, d := range []InPlace{FIFO{}, FairShare{}, NonPreemptiveFairShare{}} {
+			if err := d.ObserveWeighted(q, w, []float64{0.1, 0.2}, m, 1, new(Scratch)); err == nil {
+				t.Errorf("%s accepted multiplicities %v", d.Name(), m)
+			}
+		}
 	}
 }

@@ -164,44 +164,42 @@ func (s Style) String() string {
 	return fmt.Sprintf("Style(%d)", int(s))
 }
 
-// AggregateCongestion returns C = Σ Q_k, the total queue length.
-func AggregateCongestion(q []float64) float64 {
-	c := 0.0
-	for _, qk := range q {
-		checkCongestion(qk)
-		c += qk
+// Every congestion kernel below takes a multiplicity column m next to
+// the queue vector: slot k stands for m[k] identical connections with
+// queue q[k] (a class of the fluid backend, internal/fluid), and the
+// measure is the one each of them would see in the expanded
+// per-connection vector. A nil m is the unit column, one connection per
+// slot — the case every discrete caller uses, bit-identical to the
+// per-connection formulas because 1·x is x and integer-valued running
+// totals are exact. Multiplicities are trusted: the caller (the fluid
+// compiler) validates them as positive member counts.
+
+// weight is slot i's multiplicity: m[i], or 1 for the nil column.
+func weight(m []float64, i int) float64 {
+	if m == nil {
+		return 1
 	}
-	return c
+	return m[i]
 }
 
-// IndividualCongestion returns C_i = Σ_k min(Q_k, Q_i): the paper's
-// individual congestion measure, which charges connection i for its
-// own queue and for the part of every other queue not exceeding its
-// own. For the smallest queue this equals N·Q_i; for the largest it
-// equals the aggregate measure.
-func IndividualCongestion(q []float64, i int) float64 {
-	if i < 0 || i >= len(q) {
-		panic(fmt.Sprintf("signal: connection %d out of range [0,%d)", i, len(q)))
-	}
-	qi := q[i]
-	checkCongestion(qi)
+// AggregateCongestion returns C = Σ m_k·Q_k, the total queue length
+// (m nil: C = Σ Q_k; otherwise len(m) must equal len(q)).
+func AggregateCongestion(q, m []float64) float64 {
 	c := 0.0
-	for _, qk := range q {
+	for k, qk := range q {
 		checkCongestion(qk)
-		c += math.Min(qk, qi)
+		c += weight(m, k) * qk
 	}
 	return c
 }
 
 // Scratch holds the reusable working storage of the batched
-// individual-feedback kernel: a queue-sort permutation and a
-// congestion buffer. The zero value is ready to use; buffers grow on
-// demand and are then reused, so steady-state evaluation performs no
-// allocations. A Scratch is not safe for concurrent use — give each
-// goroutine its own.
+// individual-feedback kernel: a queue-sort permutation. The zero value
+// is ready to use; the buffer grows on demand and is then reused, so
+// steady-state evaluation performs no allocations. A Scratch is not
+// safe for concurrent use — give each goroutine its own.
 type Scratch struct {
 	idx []int
-	c   []float64
 }
 
 // Grow pre-sizes the scratch for an n-connection gateway, so that
@@ -211,27 +209,13 @@ type Scratch struct {
 func (s *Scratch) Grow(n int) {
 	if cap(s.idx) < n {
 		s.idx = make([]int, n)
-		s.c = make([]float64, n)
 	}
 	s.idx = s.idx[:n]
-	s.c = s.c[:n]
 }
 
-// order fills s.idx with 0..n-1 stably sorted by ascending queue
-// length and returns it.
-func (s *Scratch) order(q []float64) []int {
-	s.Grow(len(q))
-	for i := range s.idx {
-		s.idx[i] = i
-	}
-	stableSortByQueue(s.idx, q)
-	return s.idx
-}
-
-// stableSortByQueue stably sorts connection indices by ascending queue
-// length without allocating (same pattern as queueing's
-// stableSortByRate). +Inf queues sort last, which is exactly where the
-// prefix-sum congestion form needs them.
+// stableSortByQueue stably sorts slot indices by ascending queue
+// length without allocating. +Inf queues sort last, which is exactly
+// where the prefix-sum congestion form needs them.
 func stableSortByQueue(idx []int, q []float64) {
 	slices.SortStableFunc(idx, func(a, b int) int {
 		switch {
@@ -244,113 +228,103 @@ func stableSortByQueue(idx []int, q []float64) {
 	})
 }
 
-// IndividualCongestionInto writes C_i = Σ_k min(Q_k, Q_i) for every
-// connection into c (len(c) must equal len(q)) in one batched
-// O(N log N) pass: with queues sorted ascending, every queue sorted
-// below position pos contributes itself and the n−pos queues from pos
-// up contribute Q_i, so
+// IndividualCongestionInto writes the individual congestion measure
+// C_i = Σ_k min(Q_k, Q_i) — the paper's measure charging connection i
+// for its own queue and for the part of every other queue not
+// exceeding its own — for every slot into c (len(c) must equal len(q),
+// and len(m) too when m is not nil) in one batched O(N log N) pass.
+// With queues sorted ascending (stably, so ties keep slot order),
+// every queue sorted below position pos contributes itself and the
+// connections from pos up contribute Q_i, so
 //
-//	C_i = Σ_{k<pos(i)} Q_(k) + (n−pos(i))·Q_i
+//	C_i = Σ_{k<pos(i)} m_k·Q_(k) + M_rem(pos(i))·Q_i ,
 //
+// with M_rem the multiplicity from pos up (N−pos at unit weights),
 // falls out of a single running prefix sum — against N separate
-// IndividualCongestion scans, an O(N²) → O(N log N) change. Overloaded
-// (+Inf) queues sort last and saturate both the multiplied term and
-// the running prefix, reproducing the naive scan's +Inf results.
-// Values agree with IndividualCongestion within the
-// summation-reordering tolerance documented in docs/PERFORMANCE.md
-// (bitwise when the prefix sums are exact, e.g. dyadic queue values).
-// Like IndividualCongestion it panics on negative or NaN queues.
+// O(N) scans, an O(N²) → O(N log N) change. Overloaded (+Inf) queues
+// sort last and saturate both the multiplied term and the running
+// prefix, reproducing the scans' +Inf results. Values agree with the
+// per-connection scans within the summation-reordering tolerance
+// documented in docs/PERFORMANCE.md (bitwise when the prefix sums are
+// exact, e.g. dyadic queue values). It panics on negative or NaN
+// queues; c must not alias q.
 //
 //ffc:hotpath
-func IndividualCongestionInto(c, q []float64, scr *Scratch) error {
+func IndividualCongestionInto(c, q, m []float64, scr *Scratch) error {
 	if len(c) != len(q) {
 		return fmt.Errorf("signal: %d-slot buffer for %d queues", len(c), len(q))
 	}
-	for _, qk := range q {
+	if m != nil && len(m) != len(q) {
+		return fmt.Errorf("signal: %d multiplicities for %d queues", len(m), len(q))
+	}
+	// One pass validates, totals the multiplicities, and lays out the
+	// identity permutation — already the stable order when the queues
+	// arrive sorted, as a lone slot always does.
+	scr.Grow(len(q))
+	idx := scr.idx
+	total, sorted := 0.0, true
+	for k, qk := range q {
 		checkCongestion(qk)
+		total += weight(m, k)
+		idx[k] = k
+		sorted = sorted && (k == 0 || q[k-1] <= qk)
 	}
-	n := len(q)
-	idx := scr.order(q)
-	cum := 0.0 // Σ of sorted queues strictly below this position
-	for pos, i := range idx {
-		qi := q[i]
-		c[i] = cum + float64(n-pos)*qi
-		cum += qi
+	if !sorted {
+		stableSortByQueue(idx, q)
 	}
-	return nil
-}
-
-// GatewaySignals returns the per-connection signals b^a_i emitted by
-// one gateway whose current queue vector is q, under the given
-// feedback style and signal function.
-func GatewaySignals(style Style, b Func, q []float64) ([]float64, error) {
-	out := make([]float64, len(q))
-	if err := GatewaySignalsInto(out, style, b, q); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// GatewaySignalsInto is GatewaySignals writing into a caller-provided
-// buffer (len(out) must equal len(q)). It performs no allocations, so
-// the flow-control iteration can evaluate signals into reusable
-// scratch every step (see core.Workspace). The ffc:hotpath directive
-// puts that promise under the hotalloc analyzer.
-//
-//ffc:hotpath
-func GatewaySignalsInto(out []float64, style Style, b Func, q []float64) error {
-	if len(out) != len(q) {
-		return fmt.Errorf("signal: %d-slot buffer for %d queues", len(out), len(q))
-	}
-	switch style {
-	case Aggregate:
-		s := b.Eval(AggregateCongestion(q))
-		for i := range out {
-			out[i] = s
-		}
-	case Individual:
-		for i := range out {
-			out[i] = b.Eval(IndividualCongestion(q, i))
-		}
-	default:
-		return fmt.Errorf("signal: unknown feedback style %d", int(style))
+	cum := 0.0  // Σ m·Q over the slots sorted strictly below this position
+	done := 0.0 // Σ m over the same slots
+	for _, i := range idx {
+		qi, mi := q[i], weight(m, i)
+		c[i] = cum + (total-done)*qi
+		cum += mi * qi
+		done += mi
 	}
 	return nil
 }
 
-// GatewaySignalsBatched is GatewaySignalsInto with a Scratch: under
-// individual feedback the congestion measures come from the batched
-// prefix-sum kernel (IndividualCongestionInto — one sort plus one
-// sweep) instead of N independent scans, taking the per-gateway signal
-// pass from O(N²) to O(N log N). The aggregate style is bit-identical
-// to GatewaySignalsInto; the individual style agrees within the
-// summation-reordering tolerance documented in docs/PERFORMANCE.md.
-// This is the variant the core step kernel calls every iteration.
+// GatewaySignalsWeighted writes the per-slot signals b^a_i one gateway
+// emits for queue vector q with multiplicities m (nil: one connection
+// per slot) under the given feedback style and signal function:
+// B(Σ m·Q) to every slot under aggregate feedback, B(C_i) from the
+// batched prefix-sum kernel under individual feedback; out must not
+// alias q. It performs no allocations once scr has grown, which the
+// ffc:hotpath directive puts under the hotalloc analyzer.
 //
 //ffc:hotpath
-func GatewaySignalsBatched(out []float64, style Style, b Func, q []float64, scr *Scratch) error {
+func GatewaySignalsWeighted(out []float64, style Style, b Func, q, m []float64, scr *Scratch) error {
 	if len(out) != len(q) {
 		return fmt.Errorf("signal: %d-slot buffer for %d queues", len(out), len(q))
 	}
+	if m != nil && len(m) != len(q) {
+		return fmt.Errorf("signal: %d multiplicities for %d queues", len(m), len(q))
+	}
 	switch style {
 	case Aggregate:
-		s := b.Eval(AggregateCongestion(q))
+		s := b.Eval(AggregateCongestion(q, m))
 		for i := range out {
 			out[i] = s
 		}
 	case Individual:
-		scr.Grow(len(q))
-		c := scr.c
-		if err := IndividualCongestionInto(c, q, scr); err != nil {
+		if err := IndividualCongestionInto(out, q, m, scr); err != nil {
 			return err
 		}
-		for i, ci := range c {
+		for i, ci := range out {
 			out[i] = b.Eval(ci)
 		}
 	default:
 		return fmt.Errorf("signal: unknown feedback style %d", int(style))
 	}
 	return nil
+}
+
+// GatewaySignalsBatched is GatewaySignalsWeighted at unit weights, one
+// connection per slot: the variant the core step kernel calls every
+// iteration.
+//
+//ffc:hotpath
+func GatewaySignalsBatched(out []float64, style Style, b Func, q []float64, scr *Scratch) error {
+	return GatewaySignalsWeighted(out, style, b, q, nil, scr)
 }
 
 // CombineBottleneck implements b_i = max_a b^a_i over a connection's

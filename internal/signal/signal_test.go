@@ -135,10 +135,10 @@ func TestPropFuncBijection(t *testing.T) {
 }
 
 func TestAggregateCongestion(t *testing.T) {
-	if got := AggregateCongestion([]float64{1, 2, 3}); got != 6 {
+	if got := AggregateCongestion([]float64{1, 2, 3}, nil); got != 6 {
 		t.Errorf("aggregate = %v, want 6", got)
 	}
-	if got := AggregateCongestion([]float64{1, math.Inf(1)}); !math.IsInf(got, 1) {
+	if got := AggregateCongestion([]float64{1, math.Inf(1)}, nil); !math.IsInf(got, 1) {
 		t.Errorf("aggregate with Inf = %v, want +Inf", got)
 	}
 }
@@ -191,7 +191,7 @@ func TestPropIndividualCongestionIdentities(t *testing.T) {
 		if math.Abs(IndividualCongestion(q, minI)-float64(n)*q[minI]) > 1e-9 {
 			return false
 		}
-		if math.Abs(IndividualCongestion(q, maxI)-AggregateCongestion(q)) > 1e-9 {
+		if math.Abs(IndividualCongestion(q, maxI)-AggregateCongestion(q, nil)) > 1e-9 {
 			return false
 		}
 		// Monotone: larger queue ⇒ larger (or equal) individual congestion.
