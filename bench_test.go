@@ -9,6 +9,7 @@ package feedbackflow_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	ff "github.com/nettheory/feedbackflow"
@@ -312,6 +313,70 @@ func BenchmarkRun(b *testing.B) {
 	for _, n := range []int{4, 64, 512, 4096, 65536, 262144} {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) { benchRun(b, n) })
 	}
+}
+
+// BenchmarkRunHeterogeneous measures full convergence runs of
+// heterogeneous multi-gateway systems in the shape ffcd's solve
+// workloads send: 96 connections on random contiguous paths over a
+// 4-gateway line, a distinct multiplicative gain and target signal
+// per connection, individual feedback, run to steady state. Rates and
+// queues change little from one step to the next here, so each
+// gateway's sort orders are repaired from the previous step rather
+// than rebuilt (see docs/PERFORMANCE.md).
+func BenchmarkRunHeterogeneous(b *testing.B) {
+	for _, disc := range []ff.Discipline{ff.FairShare{}, ff.FIFO{}} {
+		b.Run(disc.Name(), func(b *testing.B) {
+			sys, r0 := heteroSystem(b, disc)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := sys.Run(r0, ff.RunOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.Converged {
+					b.Fatal("did not converge")
+				}
+			}
+		})
+	}
+}
+
+// heteroSystem builds BenchmarkRunHeterogeneous's system, its gains,
+// targets and paths drawn from a fixed seed, and its initial rates.
+func heteroSystem(b *testing.B, disc ff.Discipline) (*ff.System, []float64) {
+	b.Helper()
+	const gw, n = 4, 96
+	rng := rand.New(rand.NewSource(1))
+	var nb ff.NetworkBuilder
+	for a := 0; a < gw; a++ {
+		nb.AddGateway(fmt.Sprintf("g%d", a), (1+rng.Float64())*float64(n)/float64(gw), 0.05+0.1*rng.Float64())
+	}
+	laws := make([]ff.Law, n)
+	for i := range laws {
+		lo := rng.Intn(gw)
+		hi := lo + rng.Intn(gw-lo)
+		path := make([]int, 0, hi-lo+1)
+		for a := lo; a <= hi; a++ {
+			path = append(path, a)
+		}
+		nb.AddConnection(path...)
+		eta := 1.2 + 0.7*(float64(i)+rng.Float64())/float64(n)
+		laws[i] = ff.MultiplicativeTSI{Eta: eta, BSS: 0.2 + 0.6*rng.Float64()}
+	}
+	net, err := nb.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys, err := ff.NewSystem(net, disc, ff.Individual, ff.Rational{}, laws)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r0 := make([]float64, n)
+	for i := range r0 {
+		r0[i] = 0.1
+	}
+	return sys, r0
 }
 
 // benchReplicate measures 8 replications of a short packet-level

@@ -52,7 +52,6 @@ type plan struct {
 	hopLat       [][]float64
 	routes       [][]int // routes[i]: γ(i), shared with the Network
 	maxPath      int     // longest route, sizes the per-path scratch
-	maxGw        int     // largest gateway population, sizes the sort scratches
 	connOff      []int   // connOff[i]: first flat hop slot of connection i; connOff[nConns] = total
 }
 
@@ -79,9 +78,6 @@ func compilePlan(net *topology.Network) plan {
 		p.mu[a] = net.Gateway(a).Mu
 		p.off[a] = total
 		total += len(conns)
-		if len(conns) > p.maxGw {
-			p.maxGw = len(conns)
-		}
 		local[a] = make(map[int]int, len(conns))
 		for k, i := range conns {
 			local[a][i] = k
@@ -187,13 +183,14 @@ type Observation struct {
 }
 
 // Observe computes the Observation at rate vector r. The returned
-// Observation is freshly allocated and owned by the caller; its queue
-// rows share one backing array. Hot loops that observe repeatedly
-// should hold a Workspace and use Workspace.Observe instead.
+// Observation is freshly allocated and owned by the caller; its float
+// columns and queue rows share one backing array. Hot loops that
+// observe repeatedly should hold a Workspace and use Workspace.Observe
+// instead.
 func (s *System) Observe(r []float64) (*Observation, error) {
-	// A throwaway workspace: the caller keeps its Observation, so it
-	// cannot come from the pool.
-	return s.NewWorkspace().Observe(r)
+	w := s.acquire()
+	defer s.release(w)
+	return w.observeCopy(r)
 }
 
 // Step applies one synchronous update r' = max(0, r + f(r, b, d)).
@@ -356,6 +353,15 @@ type RunResult struct {
 //
 //ffc:taint sink
 func (s *System) Run(r0 []float64, opt RunOptions) (*RunResult, error) {
+	ws := s.acquire()
+	defer s.release(ws)
+	return ws.run(r0, opt)
+}
+
+// run is Run on this workspace. Its result is owned by the caller and
+// does not depend on what the workspace computed before.
+func (w *Workspace) run(r0 []float64, opt RunOptions) (*RunResult, error) {
+	s := w.sys
 	opt = opt.WithDefaults()
 	start := opt.Clock()
 	if len(r0) != s.net.NumConnections() {
@@ -363,8 +369,6 @@ func (s *System) Run(r0 []float64, opt RunOptions) (*RunResult, error) {
 	}
 	r := append([]float64(nil), r0...)
 	next := make([]float64, len(r))
-	ws := s.acquire()
-	defer s.release(ws)
 	res := &RunResult{}
 	if opt.Record {
 		res.Trajectory = append(res.Trajectory, append([]float64(nil), r...))
@@ -377,9 +381,9 @@ func (s *System) Run(r0 []float64, opt RunOptions) (*RunResult, error) {
 			err   error
 		)
 		if opt.Hook == nil {
-			obs, resid, err = ws.stepInto(r, next)
+			obs, resid, err = w.stepInto(r, next)
 		} else {
-			obs, resid, err = ws.hookedStep(step, r, next, opt.Hook)
+			obs, resid, err = w.hookedStep(step, r, next, opt.Hook)
 		}
 		if err != nil {
 			return nil, err
@@ -416,7 +420,7 @@ func (s *System) Run(r0 []float64, opt RunOptions) (*RunResult, error) {
 		}
 	}
 	res.Rates = r
-	final, err := s.Observe(r)
+	final, err := w.observeCopy(r)
 	if err != nil {
 		return nil, err
 	}

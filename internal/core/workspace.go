@@ -9,10 +9,11 @@ import (
 )
 
 // Workspace holds every buffer the iteration r' = F(r) needs — flat
-// per-gateway rate/queue/sojourn/signal scratch, the discipline's sort
-// scratch, and a reusable Observation — so repeated Observe and Step
-// calls perform zero heap allocations in steady state. All sizing
-// comes from the System's compiled plan, fixed at NewSystem time.
+// per-gateway rate/queue/sojourn/signal scratch, one discipline and
+// one signal sort scratch per gateway, and a reusable Observation — so
+// repeated Observe and Step calls perform zero heap allocations in
+// steady state. All sizing comes from the System's compiled plan,
+// fixed at NewSystem time.
 //
 // A Workspace belongs to one goroutine at a time; give each concurrent
 // worker its own (System itself remains safe for concurrent use, and
@@ -31,8 +32,14 @@ type Workspace struct {
 	perGw    []float64 // one connection's per-hop signals (combine scratch)
 	bn       []int     // backing array of obs.Bottlenecks rows
 
-	scr    queueing.Scratch // discipline sort/prefix scratch (sized to the largest gateway)
-	sigScr signal.Scratch   // batched-signal sort/prefix scratch (same sizing)
+	// Per-gateway sort scratch: scr[a] keeps gateway a's ascending-rate
+	// order and sigScr[a] its ascending-queue order from the previous
+	// observation, so the next one repairs a nearly sorted permutation
+	// instead of sorting from scratch. The orders are cost hints only
+	// (see internal/order): a workspace's results never depend on what
+	// it observed before.
+	scr    []queueing.Scratch
+	sigScr []signal.Scratch
 	obs    Observation
 
 	// muOverride, when non-nil, replaces the plan's per-gateway
@@ -47,13 +54,15 @@ type Workspace struct {
 // NewWorkspace allocates a Workspace for s. Every hot per-connection
 // column — rates, queues, sojourns, signals, the bottleneck index rows
 // — lives in one flat contiguous backing array per field (structure of
-// arrays), and the discipline and signal sort scratches are pre-grown
-// to the largest gateway population, all sized from the compiled plan
+// arrays), and each gateway's discipline and signal sort scratches are
+// pre-grown to its population, all sized from the compiled plan
 // here. Subsequent Observe/Step calls therefore allocate nothing at
-// all, first call included, and the step kernel streams each column
-// cache-linearly. The workspace's queue rows (obs.Queues[a]) and
-// bottleneck rows (obs.Bottlenecks[i]) are views into those backing
-// arrays, established once and reused by every call.
+// all, first call included (the non-preemptive ablation excepted: it
+// grows two buffers per gateway on its first call), and the step
+// kernel streams each column cache-linearly. The workspace's queue
+// rows (obs.Queues[a]) and bottleneck rows (obs.Bottlenecks[i]) are
+// views into those backing arrays, established once and reused by
+// every call.
 func (s *System) NewWorkspace() *Workspace {
 	p := &s.plan
 	total := p.off[p.nGws]
@@ -65,6 +74,8 @@ func (s *System) NewWorkspace() *Workspace {
 		queues:   make([]float64, total),
 		perGw:    make([]float64, p.maxPath),
 		bn:       make([]int, p.connOff[p.nConns]),
+		scr:      make([]queueing.Scratch, p.nGws),
+		sigScr:   make([]signal.Scratch, p.nGws),
 		obs: Observation{
 			Signals:     make([]float64, p.nConns),
 			Delays:      make([]float64, p.nConns),
@@ -72,11 +83,11 @@ func (s *System) NewWorkspace() *Workspace {
 			Bottlenecks: make([][]int, p.nConns),
 		},
 	}
-	w.scr.Grow(p.maxGw)
-	w.sigScr.Grow(p.maxGw)
 	for a := 0; a < p.nGws; a++ {
 		lo, hi := p.off[a], p.off[a+1]
 		w.obs.Queues[a] = w.queues[lo:hi:hi]
+		w.scr[a].Grow(hi - lo)
+		w.sigScr[a].Grow(hi - lo)
 	}
 	for i := 0; i < p.nConns; i++ {
 		lo, hi := p.connOff[i], p.connOff[i+1]
@@ -107,6 +118,50 @@ func (w *Workspace) Observe(r []float64) (*Observation, error) {
 	return &w.obs, nil
 }
 
+// observeCopy computes the observation at r on the workspace and
+// returns a caller-owned deep copy of it.
+func (w *Workspace) observeCopy(r []float64) (*Observation, error) {
+	if err := w.observe(r); err != nil {
+		return nil, err
+	}
+	return w.obs.clone(), nil
+}
+
+// clone returns a deep copy of o that shares nothing with it. One
+// flat allocation backs the signals, the delays and every queue row,
+// another every bottleneck row; each row is capped at its length.
+func (o *Observation) clone() *Observation {
+	n, nq, nb := len(o.Signals), 0, 0
+	for _, row := range o.Queues {
+		nq += len(row)
+	}
+	for _, row := range o.Bottlenecks {
+		nb += len(row)
+	}
+	f := make([]float64, 2*n+nq)
+	bn := make([]int, nb)
+	c := &Observation{
+		Signals:     f[:n:n],
+		Delays:      f[n : 2*n : 2*n],
+		Queues:      make([][]float64, len(o.Queues)),
+		Bottlenecks: make([][]int, len(o.Bottlenecks)),
+	}
+	copy(c.Signals, o.Signals)
+	copy(c.Delays, o.Delays)
+	f = f[2*n:]
+	for a, row := range o.Queues {
+		c.Queues[a] = f[:len(row):len(row)]
+		copy(c.Queues[a], row)
+		f = f[len(row):]
+	}
+	for i, row := range o.Bottlenecks {
+		c.Bottlenecks[i] = bn[:len(row):len(row)]
+		copy(c.Bottlenecks[i], row)
+		bn = bn[len(row):]
+	}
+	return c
+}
+
 // observe fills w.obs with the observation at r without allocating.
 //
 //ffc:hotpath
@@ -128,10 +183,10 @@ func (w *Workspace) observe(r []float64) error {
 		for k, i := range p.conns[a] {
 			local[k] = r[i]
 		}
-		if err := queueing.ObserveInto(s.disc, w.queues[lo:hi], w.sojourns[lo:hi], local, mu[a], &w.scr); err != nil {
+		if err := queueing.ObserveInto(s.disc, w.queues[lo:hi], w.sojourns[lo:hi], local, mu[a], &w.scr[a]); err != nil {
 			return fmt.Errorf("core: gateway %d: %w", a, err)
 		}
-		if err := signal.GatewaySignalsBatched(w.signals[lo:hi], s.style, s.b, w.queues[lo:hi], &w.sigScr); err != nil {
+		if err := signal.GatewaySignalsBatched(w.signals[lo:hi], s.style, s.b, w.queues[lo:hi], &w.sigScr[a]); err != nil {
 			return fmt.Errorf("core: gateway %d: %w", a, err)
 		}
 	}

@@ -113,6 +113,7 @@ const modulePath = "github.com/nettheory/feedbackflow"
 var detPackages = map[string]bool{
 	modulePath + "/internal/core":      true,
 	modulePath + "/internal/queueing":  true,
+	modulePath + "/internal/order":     true,
 	modulePath + "/internal/eventsim":  true,
 	modulePath + "/internal/signal":    true,
 	modulePath + "/internal/stability": true,

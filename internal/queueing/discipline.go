@@ -18,7 +18,8 @@ package queueing
 import (
 	"fmt"
 	"math"
-	"slices"
+
+	"github.com/nettheory/feedbackflow/internal/order"
 )
 
 // Discipline computes steady-state per-connection queue statistics for
@@ -119,64 +120,49 @@ func TotalQueue(r []float64, mu float64) (float64, error) {
 }
 
 // Scratch holds the reusable working storage an InPlace discipline
-// needs between calls: a sort-order buffer and two float64 buffers.
-// The zero value is ready to use; buffers grow on demand and are then
-// reused, so steady-state evaluation performs no allocations. A
-// Scratch is not safe for concurrent use — give each goroutine its
-// own.
+// needs between calls: the slots' ascending-rate permutation, which
+// the next call repairs instead of rebuilding (internal/order), and
+// the two float64 buffers only NonPreemptiveFairShare uses, grown on
+// its first call. The zero value is ready to use; buffers grow on
+// demand and are then reused, so steady-state evaluation performs no
+// allocations. The retained permutation only makes the next sort
+// cheaper when the rates barely moved: results do not depend on it,
+// so one Scratch may serve any sequence of gateways. A Scratch is not
+// safe for concurrent use — give each goroutine its own.
 type Scratch struct {
 	idx    []int
 	f1, f2 []float64
 }
 
-// Grow pre-sizes the scratch for an n-connection gateway, so that
-// even the first ObserveInto call on it allocates nothing. Growing is
-// otherwise automatic (and amortized free) on first use; pre-sizing
-// exists for callers — core.Workspace — that size all hot columns at
-// plan-compile time.
-func (s *Scratch) Grow(n int) { s.grow(n) }
-
-// grow sizes the scratch buffers for an n-connection gateway.
-func (s *Scratch) grow(n int) {
+// Grow pre-sizes the scratch's permutation for an n-connection
+// gateway, so that even the first FairShare call on it allocates
+// nothing. Growing is otherwise automatic (and amortized
+// free) on first use; pre-sizing exists for callers — core.Workspace
+// — that size all hot columns at plan-compile time.
+func (s *Scratch) Grow(n int) {
 	if cap(s.idx) < n {
-		s.idx = make([]int, n)
-		s.f1 = make([]float64, n)
-		s.f2 = make([]float64, n)
+		s.idx = make([]int, 0, n)
 	}
-	s.idx = s.idx[:n]
-	s.f1 = s.f1[:n]
-	s.f2 = s.f2[:n]
 }
 
-// order fills s.idx with 0..n-1 stably sorted by ascending rate — the
-// priority ordering shared by both Fair Share variants — and returns
-// it.
+// order repairs s.idx into 0..n-1 sorted by ascending rate, ties in
+// slot order — the priority ordering shared by both Fair Share
+// variants — and returns it.
+//
+//ffc:hotpath
 func (s *Scratch) order(r []float64) []int {
-	s.grow(len(r))
-	sorted := true
-	for i := range s.idx {
-		s.idx[i] = i
-		sorted = sorted && (i == 0 || r[i-1] <= r[i])
-	}
-	if !sorted { // the identity is the stable order of sorted rates
-		stableSortByRate(s.idx, r)
-	}
+	s.idx = order.Repair(s.idx, r)
 	return s.idx
 }
 
-// stableSortByRate stably sorts slot indices by ascending rate without
-// allocating. Stability makes the ordering — and therefore every
-// downstream queue value — deterministic: equal rates keep slot order.
-func stableSortByRate(idx []int, r []float64) {
-	slices.SortStableFunc(idx, func(a, b int) int {
-		switch {
-		case r[a] < r[b]:
-			return -1
-		case r[a] > r[b]:
-			return 1
-		}
-		return 0
-	})
+// floats returns the two n-slot buffers of the non-preemptive
+// recursion, growing them on first use.
+func (s *Scratch) floats(n int) (f1, f2 []float64) {
+	if cap(s.f1) < n {
+		s.f1 = make([]float64, n)
+		s.f2 = make([]float64, n)
+	}
+	return s.f1[:n], s.f2[:n]
 }
 
 // InPlace is implemented by disciplines whose queue model is a

@@ -1,6 +1,10 @@
 package queueing
 
-import "math"
+import (
+	"math"
+
+	"github.com/nettheory/feedbackflow/internal/order"
+)
 
 // FairShare is the service discipline of Section 2.2 (introduced in
 // [She89]): a preemptive priority discipline in which each
@@ -155,13 +159,9 @@ func NewPriorityRows(r []float64) *PriorityRows {
 	n := len(r)
 	it := &PriorityRows{
 		sorted: make([]float64, n),
-		perm:   make([]int, n),
+		perm:   order.Repair(make([]int, 0, n), r),
 		row:    make([]float64, n),
 	}
-	for i := range it.perm {
-		it.perm[i] = i
-	}
-	stableSortByRate(it.perm, r)
 	for pos, i := range it.perm {
 		it.sorted[pos] = r[i]
 	}

@@ -143,3 +143,34 @@ func TestObserveIntoFallback(t *testing.T) {
 		}
 	}
 }
+
+// TestScratchReuseAcrossGatewaySizes runs one Scratch over 5-, 3- and
+// then 5-slot gateways, as a scratch shared between gateways sees
+// them: every call must match a fresh Scratch bit for bit, whatever
+// permutation the previous call left behind.
+func TestScratchReuseAcrossGatewaySizes(t *testing.T) {
+	calls := [][]float64{
+		{0.3, 0.1, 0.1, 0, 0.2},
+		{0.1, 0.1, 0},
+		{0.05, 0.2, 0.05, 0.3, 0},
+	}
+	for _, d := range []InPlace{FairShare{}, NonPreemptiveFairShare{}} {
+		shared := new(Scratch)
+		for _, r := range calls {
+			q, w := make([]float64, len(r)), make([]float64, len(r))
+			qWant, wWant := make([]float64, len(r)), make([]float64, len(r))
+			if err := d.ObserveWeighted(q, w, r, nil, 1, shared); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.ObserveWeighted(qWant, wWant, r, nil, 1, new(Scratch)); err != nil {
+				t.Fatal(err)
+			}
+			for i := range r {
+				if !sameFloat(q[i], qWant[i]) || !sameFloat(w[i], wWant[i]) {
+					t.Fatalf("%s r=%v: slot %d got q=%v w=%v, fresh scratch q=%v w=%v",
+						d.Name(), r, i, q[i], w[i], qWant[i], wWant[i])
+				}
+			}
+		}
+	}
+}

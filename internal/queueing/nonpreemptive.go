@@ -67,8 +67,7 @@ func (NonPreemptiveFairShare) ObserveWeighted(q, w, r, m []float64, mu float64, 
 		return err
 	}
 	idx := scr.order(r)
-	classSojourn := scr.f1
-	sortedRates := scr.f2
+	classSojourn, sortedRates := scr.floats(len(r))
 
 	rhoTot := 0.0
 	for i, ri := range r {

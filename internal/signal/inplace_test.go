@@ -52,3 +52,30 @@ func TestGatewaySignalsIntoRejectsBadInput(t *testing.T) {
 		t.Error("unknown style accepted")
 	}
 }
+
+// TestScratchReuseAcrossGatewaySizes runs one Scratch over 5-, 3- and
+// then 5-slot gateways, as a scratch shared between gateways sees
+// them: every call must match a fresh Scratch bit for bit, whatever
+// permutation the previous call left behind.
+func TestScratchReuseAcrossGatewaySizes(t *testing.T) {
+	calls := [][]float64{
+		{3, 1, 1, 0, math.Inf(1)},
+		{1, 1, 0},
+		{0.5, 2, 0.5, math.Inf(1), 0},
+	}
+	shared := new(Scratch)
+	for _, q := range calls {
+		got, want := make([]float64, len(q)), make([]float64, len(q))
+		if err := IndividualCongestionInto(got, q, nil, shared); err != nil {
+			t.Fatal(err)
+		}
+		if err := IndividualCongestionInto(want, q, nil, new(Scratch)); err != nil {
+			t.Fatal(err)
+		}
+		for i := range q {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("q=%v: slot %d got %v, fresh scratch %v", q, i, got[i], want[i])
+			}
+		}
+	}
+}

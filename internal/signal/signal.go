@@ -8,7 +8,8 @@ package signal
 import (
 	"fmt"
 	"math"
-	"slices"
+
+	"github.com/nettheory/feedbackflow/internal/order"
 )
 
 // Func is a congestion signal function B. The paper requires B to be
@@ -194,10 +195,14 @@ func AggregateCongestion(q, m []float64) float64 {
 }
 
 // Scratch holds the reusable working storage of the batched
-// individual-feedback kernel: a queue-sort permutation. The zero value
-// is ready to use; the buffer grows on demand and is then reused, so
-// steady-state evaluation performs no allocations. A Scratch is not
-// safe for concurrent use — give each goroutine its own.
+// individual-feedback kernel: the slots' ascending-queue permutation,
+// which the next call repairs instead of rebuilding (internal/order).
+// The zero value is ready to use; the buffer grows on demand and is
+// then reused, so steady-state evaluation performs no allocations.
+// The retained permutation only makes the next sort cheaper when the
+// queues barely moved: results do not depend on it, so one Scratch
+// may serve any sequence of gateways. A Scratch is not safe for
+// concurrent use — give each goroutine its own.
 type Scratch struct {
 	idx []int
 }
@@ -208,24 +213,8 @@ type Scratch struct {
 // core.Workspace — that size all hot columns at plan-compile time.
 func (s *Scratch) Grow(n int) {
 	if cap(s.idx) < n {
-		s.idx = make([]int, n)
+		s.idx = make([]int, 0, n)
 	}
-	s.idx = s.idx[:n]
-}
-
-// stableSortByQueue stably sorts slot indices by ascending queue
-// length without allocating. +Inf queues sort last, which is exactly
-// where the prefix-sum congestion form needs them.
-func stableSortByQueue(idx []int, q []float64) {
-	slices.SortStableFunc(idx, func(a, b int) int {
-		switch {
-		case q[a] < q[b]:
-			return -1
-		case q[a] > q[b]:
-			return 1
-		}
-		return 0
-	})
 }
 
 // IndividualCongestionInto writes the individual congestion measure
@@ -233,7 +222,7 @@ func stableSortByQueue(idx []int, q []float64) {
 // for its own queue and for the part of every other queue not
 // exceeding its own — for every slot into c (len(c) must equal len(q),
 // and len(m) too when m is not nil) in one batched O(N log N) pass.
-// With queues sorted ascending (stably, so ties keep slot order),
+// With queues sorted ascending (ties in slot order, see internal/order),
 // every queue sorted below position pos contributes itself and the
 // connections from pos up contribute Q_i, so
 //
@@ -257,24 +246,15 @@ func IndividualCongestionInto(c, q, m []float64, scr *Scratch) error {
 	if m != nil && len(m) != len(q) {
 		return fmt.Errorf("signal: %d multiplicities for %d queues", len(m), len(q))
 	}
-	// One pass validates, totals the multiplicities, and lays out the
-	// identity permutation — already the stable order when the queues
-	// arrive sorted, as a lone slot always does.
-	scr.Grow(len(q))
-	idx := scr.idx
-	total, sorted := 0.0, true
+	total := 0.0
 	for k, qk := range q {
 		checkCongestion(qk)
 		total += weight(m, k)
-		idx[k] = k
-		sorted = sorted && (k == 0 || q[k-1] <= qk)
 	}
-	if !sorted {
-		stableSortByQueue(idx, q)
-	}
+	scr.idx = order.Repair(scr.idx, q)
 	cum := 0.0  // Σ m·Q over the slots sorted strictly below this position
 	done := 0.0 // Σ m over the same slots
-	for _, i := range idx {
+	for _, i := range scr.idx {
 		qi, mi := q[i], weight(m, i)
 		c[i] = cum + (total-done)*qi
 		cum += mi * qi
