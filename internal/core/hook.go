@@ -59,6 +59,7 @@ func (w *Workspace) hookedStep(step int, r, next []float64, h StepHook) (*Observ
 	if err != nil {
 		return nil, 0, err
 	}
+	w.bottlenecks()
 	h.PerturbObservation(step, r, &w.obs)
 	s := w.sys
 	residual := 0.0

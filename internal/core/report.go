@@ -9,7 +9,10 @@ import (
 // Report assembles the machine-readable run report for a completed
 // run: the iteration outcome and residual summary from res.Stats plus
 // per-gateway queue statistics derived from the final observation.
-// This is what ffc -metrics-json emits.
+// This is what ffc -metrics-json emits. On a weighted system the
+// vectors stay per class, while each gateway's utilization, total
+// queue and connection count are weighted by the class sizes: what
+// the expanded population would report.
 func (s *System) Report(res *RunResult, scenario string) (*obs.RunReport, error) {
 	if res == nil || res.Final == nil {
 		return nil, fmt.Errorf("core: report of an incomplete run")
@@ -29,26 +32,26 @@ func (s *System) Report(res *RunResult, scenario string) (*obs.RunReport, error)
 		Delays:          obs.Floats(res.Final.Delays),
 	}
 	for a, queues := range res.Final.Queues {
-		g := obs.GatewayReport{
-			Gateway:     a,
-			Connections: len(queues),
-			Queues:      obs.Floats(queues),
-		}
-		load := 0.0
-		for _, i := range s.net.Connections(a) {
-			load += res.Rates[i]
-		}
-		g.Utilization = obs.Float(load / s.net.Gateway(a).Mu)
-		total, max := 0.0, 0.0
-		for _, q := range queues {
-			total += q
-			if q > max {
-				max = q
+		// Weighted sums: each entry stands for Weight(i) connections
+		// (1 on a discrete system, where 1·x is x bit for bit).
+		n, load, total, max := 0.0, 0.0, 0.0, 0.0
+		for k, i := range s.net.Connections(a) {
+			m := s.Weight(i)
+			n += m
+			load += m * res.Rates[i]
+			total += m * queues[k]
+			if queues[k] > max {
+				max = queues[k]
 			}
 		}
-		g.TotalQueue = obs.Float(total)
-		g.MaxQueue = obs.Float(max)
-		rep.Gateways = append(rep.Gateways, g)
+		rep.Gateways = append(rep.Gateways, obs.GatewayReport{
+			Gateway:     a,
+			Connections: int(n),
+			Queues:      obs.Floats(queues),
+			Utilization: obs.Float(load / s.net.Gateway(a).Mu),
+			TotalQueue:  obs.Float(total),
+			MaxQueue:    obs.Float(max),
+		})
 	}
 	return rep, nil
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"github.com/nettheory/feedbackflow/internal/control"
+	"github.com/nettheory/feedbackflow/internal/finite"
 	"github.com/nettheory/feedbackflow/internal/obs"
 	"github.com/nettheory/feedbackflow/internal/queueing"
 	"github.com/nettheory/feedbackflow/internal/signal"
@@ -27,12 +28,18 @@ import (
 // are fixed at construction; the iteration state is the rate vector
 // passed to the methods, so a System is safe for concurrent use.
 type System struct {
-	net   *topology.Network
-	disc  queueing.Discipline
-	style signal.Style
-	b     signal.Func
-	laws  []control.Law
-	plan  plan
+	net  *topology.Network
+	disc queueing.Discipline
+	// kernel is disc's weighted kernel, or an adapter over its
+	// allocating methods when disc has none (unit weights only).
+	kernel queueing.InPlace
+	style  signal.Style
+	b      signal.Func
+	laws   []control.Law
+	// weights[i] is the number of identical connections connection i
+	// stands for; nil means one each (every discrete system).
+	weights []float64
+	plan    plan
 	// pool recycles Workspaces for the transient fast paths (Step,
 	// Residual, Run); it keeps those entry points allocation-free in
 	// steady state without compromising concurrent use.
@@ -51,13 +58,18 @@ type plan struct {
 	slots        [][]int   // slots[i][p]: flat slot of connection i at its p'th hop
 	hopLat       [][]float64
 	routes       [][]int // routes[i]: γ(i), shared with the Network
-	maxPath      int     // longest route, sizes the per-path scratch
 	connOff      []int   // connOff[i]: first flat hop slot of connection i; connOff[nConns] = total
+
+	// m[off[a]+k] is the weight of the k'th connection of Γ(a): the
+	// kernels' multiplicity column, nil for unit weights.
+	m []float64
 }
 
 // compilePlan precomputes the flat connection-index arrays that
-// replace the per-step local-index maps the iteration used to build.
-func compilePlan(net *topology.Network) plan {
+// replace the per-step local-index maps the iteration used to build,
+// and lays the connection weights (nil: unit) out as the kernels'
+// per-slot multiplicity column.
+func compilePlan(net *topology.Network, weights []float64) plan {
 	nGws, nConns := net.NumGateways(), net.NumConnections()
 	p := plan{
 		nConns:  nConns,
@@ -90,9 +102,6 @@ func compilePlan(net *topology.Network) plan {
 		p.routes[i] = route
 		p.connOff[i] = hopTotal
 		hopTotal += len(route)
-		if len(route) > p.maxPath {
-			p.maxPath = len(route)
-		}
 		slots := make([]int, len(route))
 		lat := make([]float64, len(route))
 		for hop, a := range route {
@@ -103,6 +112,14 @@ func compilePlan(net *topology.Network) plan {
 		p.hopLat[i] = lat
 	}
 	p.connOff[nConns] = hopTotal
+	if weights != nil {
+		p.m = make([]float64, total)
+		for a, conns := range p.conns {
+			for k, i := range conns {
+				p.m[p.off[a]+k] = weights[i]
+			}
+		}
+	}
 	return p
 }
 
@@ -115,6 +132,21 @@ func compilePlan(net *topology.Network) plan {
 //
 //ffc:taint sink
 func NewSystem(net *topology.Network, disc queueing.Discipline, style signal.Style, b signal.Func, laws []control.Law) (*System, error) {
+	return NewWeightedSystem(net, disc, style, b, laws, nil)
+}
+
+// NewWeightedSystem is NewSystem for a class-weighted network:
+// connection i stands for weights[i] identical connections — same
+// law, same route, same rate — which the weighted kernels evaluate as
+// one slot of multiplicity weights[i] (Kelly–Williams' class-level
+// fluid model). Weights must be positive and finite, one per
+// connection, and disc must implement queueing.InPlace. Observations
+// and the iteration are per class; Report weights gateway
+// utilization, total queue and connection counts by the class sizes.
+// A nil weights is NewSystem, bit for bit.
+//
+//ffc:taint sink
+func NewWeightedSystem(net *topology.Network, disc queueing.Discipline, style signal.Style, b signal.Func, laws []control.Law, weights []float64) (*System, error) {
 	if net == nil {
 		return nil, fmt.Errorf("core: nil network")
 	}
@@ -135,10 +167,36 @@ func NewSystem(net *topology.Network, disc queueing.Discipline, style signal.Sty
 	if style != signal.Aggregate && style != signal.Individual {
 		return nil, fmt.Errorf("core: unknown feedback style %v", style)
 	}
-	s := &System{net: net, disc: disc, style: style, b: b, laws: laws}
-	s.plan = compilePlan(net)
+	kernel, ok := disc.(queueing.InPlace)
+	if weights != nil {
+		if !ok {
+			return nil, fmt.Errorf("core: discipline %s has no weighted kernel", disc.Name())
+		}
+		if len(weights) != net.NumConnections() {
+			return nil, fmt.Errorf("core: %d weights for %d connections", len(weights), net.NumConnections())
+		}
+		for i, w := range weights {
+			if finite.IsBad(w) || w <= 0 {
+				return nil, fmt.Errorf("core: weight %d = %v must be positive and finite", i, w)
+			}
+		}
+		weights = append([]float64(nil), weights...)
+	} else if !ok {
+		kernel = unweighted{disc}
+	}
+	s := &System{net: net, disc: disc, kernel: kernel, style: style, b: b, laws: laws, weights: weights}
+	s.plan = compilePlan(net, weights)
 	s.pool.New = func() interface{} { return s.NewWorkspace() }
 	return s, nil
+}
+
+// unweighted adapts a Discipline without a weighted kernel to the
+// InPlace call the step kernel makes; NewWeightedSystem admits it
+// only at unit weights, where the allocating methods are exact.
+type unweighted struct{ queueing.Discipline }
+
+func (d unweighted) ObserveWeighted(q, w, r, _ []float64, mu float64, scr *queueing.Scratch) error {
+	return queueing.ObserveInto(d.Discipline, q, w, r, mu, scr)
 }
 
 // acquire takes a pooled Workspace for a transient internal call.
@@ -163,6 +221,15 @@ func (s *System) SignalFunc() signal.Func { return s.b }
 
 // Law returns connection i's rate adjustment law.
 func (s *System) Law(i int) control.Law { return s.laws[i] }
+
+// Weight returns how many identical connections connection i stands
+// for: 1 unless the system was built by NewWeightedSystem.
+func (s *System) Weight(i int) float64 {
+	if s.weights == nil {
+		return 1
+	}
+	return s.weights[i]
+}
 
 // Observation is everything the model computes from a rate vector:
 // per-gateway queues, the combined congestion signals, and round-trip

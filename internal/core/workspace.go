@@ -29,7 +29,6 @@ type Workspace struct {
 	sojourns []float64 // per-gateway sojourn times W^a_i
 	signals  []float64 // per-gateway signals b^a_i
 	queues   []float64 // backing array of obs.Queues
-	perGw    []float64 // one connection's per-hop signals (combine scratch)
 	bn       []int     // backing array of obs.Bottlenecks rows
 
 	// Per-gateway sort scratch: scr[a] keeps gateway a's ascending-rate
@@ -72,7 +71,6 @@ func (s *System) NewWorkspace() *Workspace {
 		sojourns: make([]float64, total),
 		signals:  make([]float64, total),
 		queues:   make([]float64, total),
-		perGw:    make([]float64, p.maxPath),
 		bn:       make([]int, p.connOff[p.nConns]),
 		scr:      make([]queueing.Scratch, p.nGws),
 		sigScr:   make([]signal.Scratch, p.nGws),
@@ -115,6 +113,7 @@ func (w *Workspace) Observe(r []float64) (*Observation, error) {
 	if err := w.observe(r); err != nil {
 		return nil, err
 	}
+	w.bottlenecks()
 	return &w.obs, nil
 }
 
@@ -124,7 +123,34 @@ func (w *Workspace) observeCopy(r []float64) (*Observation, error) {
 	if err := w.observe(r); err != nil {
 		return nil, err
 	}
+	w.bottlenecks()
 	return w.obs.clone(), nil
+}
+
+// Drift writes the model's drift at r into f: f_i(r_i, b_i, d_i), or 0
+// for a connection held at rest by the truncation rule (r_i = 0 with
+// f_i < 0). It is the right-hand side of the fluid ODE, of which the
+// synchronous update max(0, r + f) is the Euler step. The returned
+// combined signals b_i are borrowed from the workspace, like
+// Observe's result; bottleneck rows are not computed.
+//
+//ffc:hotpath
+func (w *Workspace) Drift(r, f []float64) ([]float64, error) {
+	if len(f) != len(r) {
+		return nil, fmt.Errorf("core: %d-slot buffer for %d rates", len(f), len(r))
+	}
+	if err := w.observe(r); err != nil {
+		return nil, err
+	}
+	laws := w.sys.laws
+	for i := range r {
+		fi := laws[i].Adjust(r[i], w.obs.Signals[i], w.obs.Delays[i])
+		if r[i] == 0 && fi < 0 {
+			fi = 0
+		}
+		f[i] = fi
+	}
+	return w.obs.Signals, nil
 }
 
 // clone returns a deep copy of o that shares nothing with it. One
@@ -162,7 +188,9 @@ func (o *Observation) clone() *Observation {
 	return c
 }
 
-// observe fills w.obs with the observation at r without allocating.
+// observe fills w.obs with the observation at r without allocating,
+// bottleneck rows excepted: only the callers that hand out the whole
+// Observation add them, with bottlenecks.
 //
 //ffc:hotpath
 func (w *Workspace) observe(r []float64) error {
@@ -183,39 +211,57 @@ func (w *Workspace) observe(r []float64) error {
 		for k, i := range p.conns[a] {
 			local[k] = r[i]
 		}
-		if err := queueing.ObserveInto(s.disc, w.queues[lo:hi], w.sojourns[lo:hi], local, mu[a], &w.scr[a]); err != nil {
+		var m []float64 // unit weights unless the system is weighted
+		if p.m != nil {
+			m = p.m[lo:hi]
+		}
+		if err := s.kernel.ObserveWeighted(w.queues[lo:hi], w.sojourns[lo:hi], local, m, mu[a], &w.scr[a]); err != nil {
 			return fmt.Errorf("core: gateway %d: %w", a, err)
 		}
-		if err := signal.GatewaySignalsBatched(w.signals[lo:hi], s.style, s.b, w.queues[lo:hi], &w.sigScr[a]); err != nil {
+		if err := signal.GatewaySignalsWeighted(w.signals[lo:hi], s.style, s.b, w.queues[lo:hi], m, &w.sigScr[a]); err != nil {
 			return fmt.Errorf("core: gateway %d: %w", a, err)
 		}
 	}
-	// Combine along paths.
-	const bottleneckTol = 1e-12
+	// Combine along paths: b_i is the largest per-hop signal
+	// (signal.CombineBottleneck, inlined into the delay sum's loop).
 	for i := 0; i < p.nConns; i++ {
 		slots := p.slots[i]
 		hopLat := p.hopLat[i]
-		perGw := w.perGw[:len(slots)]
-		d := 0.0
+		b, d := 0.0, 0.0
 		for hop, k := range slots {
-			perGw[hop] = w.signals[k]
+			v := w.signals[k]
+			if !(v >= 0 && v <= 1) { // NaN fails both
+				return fmt.Errorf("core: connection %d: signal: %v outside [0,1]", i, v)
+			}
+			if v > b {
+				b = v
+			}
 			d += hopLat[hop] + w.sojourns[k]
-		}
-		b, err := signal.CombineBottleneck(perGw)
-		if err != nil {
-			return fmt.Errorf("core: connection %d: %w", i, err)
 		}
 		w.obs.Signals[i] = b
 		w.obs.Delays[i] = d
+	}
+	return nil
+}
+
+// bottlenecks fills w.obs.Bottlenecks from the last observe: the
+// gateways on each path whose signal attains the combined one, within
+// a small tolerance.
+//
+//ffc:hotpath
+func (w *Workspace) bottlenecks() {
+	const bottleneckTol = 1e-12
+	p := &w.sys.plan
+	for i, slots := range p.slots {
+		b := w.obs.Signals[i]
 		bn := w.obs.Bottlenecks[i][:0]
 		for hop, a := range p.routes[i] {
-			if perGw[hop] >= b-bottleneckTol {
+			if w.signals[slots[hop]] >= b-bottleneckTol {
 				bn = append(bn, a)
 			}
 		}
 		w.obs.Bottlenecks[i] = bn
 	}
-	return nil
 }
 
 // Step applies one synchronous update r' = max(0, r + f(r, b, d)),

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -344,3 +345,79 @@ func (halveMu) BeginStep(_ int, mu []float64) {
 }
 func (halveMu) PerturbObservation(int, []float64, *Observation) {}
 func (halveMu) PerturbNext(int, []float64, []float64)           {}
+
+// badSignal is a signal function whose values leave [0,1].
+type badSignal struct{ v float64 }
+
+func (badSignal) Name() string                     { return "bad" }
+func (s badSignal) Eval(float64) float64           { return s.v }
+func (badSignal) Inverse(float64) (float64, error) { return 0, nil }
+
+// TestObserveRejectsOutOfRangeSignal: the path combine refuses a
+// per-gateway signal outside [0,1], NaN included, naming the
+// connection.
+func TestObserveRejectsOutOfRangeSignal(t *testing.T) {
+	net, err := topology.SingleGateway(2, 1, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	laws := control.Uniform(control.AdditiveTSI{Eta: 0.1, BSS: 0.5}, 2)
+	for _, v := range []float64{-0.5, 1.5, math.NaN()} {
+		sys, err := NewSystem(net, queueing.FIFO{}, signal.Aggregate, badSignal{v}, laws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Observe([]float64{0.1, 0.2}); err == nil || !strings.Contains(err.Error(), "connection 0") {
+			t.Errorf("signal %v: Observe error %v, want one naming connection 0", v, err)
+		}
+	}
+}
+
+// TestDriftMatchesObservation pins Workspace.Drift to its definition
+// over randomized systems and rates, zeros included: f_i is law i's
+// adjustment at the observed signal and delay, 0 for a truncated
+// connection, the returned signals are the observation's, and the
+// residual is max|f_i|.
+func TestDriftMatchesObservation(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 60; trial++ {
+		sys := randomSystem(t, rng)
+		n := sys.Network().NumConnections()
+		r := make([]float64, n)
+		for i := range r {
+			if rng.Intn(4) > 0 {
+				r[i] = rng.Float64() * 1.5
+			}
+		}
+		f := make([]float64, n)
+		sig, err := sys.NewWorkspace().Drift(r, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		obs, err := sys.Observe(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resid, err := sys.Residual(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		max := 0.0
+		for i := range r {
+			want := sys.Law(i).Adjust(r[i], obs.Signals[i], obs.Delays[i])
+			if r[i] == 0 && want < 0 {
+				want = 0
+			}
+			if !bitsEqual(f[i], want) || !bitsEqual(sig[i], obs.Signals[i]) {
+				t.Fatalf("trial %d: f[%d] = %v, b = %v; want %v, %v", trial, i, f[i], sig[i], want, obs.Signals[i])
+			}
+			max = math.Max(max, math.Abs(want))
+		}
+		if !bitsEqual(resid, max) {
+			t.Fatalf("trial %d: residual %v, want max|f| = %v", trial, resid, max)
+		}
+	}
+	if _, err := heteroSystem(t, queueing.FIFO{}, signal.Aggregate).NewWorkspace().Drift(make([]float64, 60), make([]float64, 59)); err == nil {
+		t.Fatal("Drift accepted a short drift buffer")
+	}
+}

@@ -153,7 +153,7 @@ func e23Gap(disc, feed string, eta0 float64, n int64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := fsys.SetStepping(fluid.RK4, e23FineStep); err != nil {
+	if err := fsys.SetStep(e23FineStep); err != nil {
 		return 0, err
 	}
 	perUnit := int(math.Round(1 / e23FineStep))

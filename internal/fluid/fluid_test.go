@@ -11,7 +11,6 @@ import (
 	"github.com/nettheory/feedbackflow/internal/core"
 	"github.com/nettheory/feedbackflow/internal/queueing"
 	"github.com/nettheory/feedbackflow/internal/scenario"
-	"github.com/nettheory/feedbackflow/internal/signal"
 )
 
 // specJSON renders a two-gateway scenario with two connection groups
@@ -65,45 +64,40 @@ func supDiff(a, b []float64) float64 {
 	return m
 }
 
-// withDiscipline rebuilds a discrete system and its fluid counterpart
-// under discipline d — the scenario format only names the paper's
-// fifo and fairshare, so the non-preemptive ablation is swapped in
-// here.
-func withDiscipline(t *testing.T, dsys *core.System, fsys *System, d queueing.Discipline) (*core.System, *System) {
+// classLevel returns the class-level core system behind fsys — one
+// connection per class, weighted by class size — under discipline d,
+// together with the expanded discrete system under d. The scenario
+// format only names the paper's fifo and fairshare, so the
+// non-preemptive ablation is swapped in here. Stepped by core.Run,
+// the class-level system is explicit Euler at step 1: the discrete
+// map on the collapsed population.
+func classLevel(t *testing.T, dsys *core.System, fsys *System, d queueing.Discipline) (expanded, classes *core.System) {
 	t.Helper()
-	laws := make([]control.Law, dsys.Network().NumConnections())
-	for i := range laws {
-		laws[i] = dsys.Law(i)
+	rebuild := func(sys *core.System, weights []float64) *core.System {
+		laws := make([]control.Law, sys.Network().NumConnections())
+		for i := range laws {
+			laws[i] = sys.Law(i)
+		}
+		out, err := core.NewWeightedSystem(sys.Network(), d, sys.Style(), sys.SignalFunc(), laws, weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	dd, err := core.NewSystem(dsys.Network(), d, dsys.Style(), dsys.SignalFunc(), laws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Discipline: d, Style: fsys.style, Signal: fsys.b, Method: fsys.method, Step: fsys.step}
-	for a := range fsys.mu {
-		cfg.Gateways = append(cfg.Gateways, Gateway{Mu: fsys.mu[a], Latency: fsys.lat[a]})
-	}
-	for c, w := range fsys.weights {
-		cfg.Classes = append(cfg.Classes, Class{Weight: w, Law: fsys.laws[c], Route: fsys.routes[c]})
-	}
-	fd, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dd, fd
+	return rebuild(dsys, nil), rebuild(fsys.sys, fsys.Weights())
 }
 
 // lockstepDisciplines are the disciplines the lockstep tests cover:
-// the paper's two plus the non-preemptive ablation, which the fluid
-// backend runs through the same weighted-kernel interface.
+// the paper's two plus the non-preemptive ablation, which the
+// class-level system runs through the same weighted-kernel interface.
 var lockstepDisciplines = []queueing.Discipline{
 	queueing.FairShare{}, queueing.FIFO{}, queueing.NonPreemptiveFairShare{},
 }
 
 // TestDegenerateBitwise pins the degenerate case: one class of one
-// member in Euler lockstep is the discrete iteration itself —
-// trajectory and steady state bit-identical, step counts equal — under
-// every discipline.
+// member, stepped by the class-level core system, is the discrete
+// iteration itself — trajectory and steady state bit-identical, step
+// counts equal — under every discipline.
 func TestDegenerateBitwise(t *testing.T) {
 	sp := loadSpec(t, specJSON("fairshare", "individual", 0.05, 1, 0))
 	sp.Connections = sp.Connections[:1] // single connection, single class
@@ -120,22 +114,19 @@ func TestDegenerateBitwise(t *testing.T) {
 	}
 	for _, disc := range lockstepDisciplines {
 		t.Run(disc.Name(), func(t *testing.T) {
-			dsys, fsys := withDiscipline(t, dsys0, fsys0, disc)
-			if err := fsys.SetStepping(Euler, 1); err != nil {
-				t.Fatalf("SetStepping: %v", err)
-			}
+			dsys, csys := classLevel(t, dsys0, fsys0, disc)
 			opt := sp.RunOptions()
 			opt.Record = true
 			dres, err := dsys.Run(dr0, opt)
 			if err != nil {
 				t.Fatalf("discrete run: %v", err)
 			}
-			fres, err := fsys.Run(fr0, opt)
+			fres, err := csys.Run(fr0, opt)
 			if err != nil {
-				t.Fatalf("fluid run: %v", err)
+				t.Fatalf("class-level run: %v", err)
 			}
 			if dres.Steps != fres.Steps || dres.Converged != fres.Converged {
-				t.Fatalf("steps/converged: discrete (%d, %v) vs fluid (%d, %v)",
+				t.Fatalf("steps/converged: discrete (%d, %v) vs class-level (%d, %v)",
 					dres.Steps, dres.Converged, fres.Steps, fres.Converged)
 			}
 			if len(dres.Trajectory) != len(fres.Trajectory) {
@@ -143,12 +134,12 @@ func TestDegenerateBitwise(t *testing.T) {
 			}
 			for step := range dres.Trajectory {
 				if dres.Trajectory[step][0] != fres.Trajectory[step][0] {
-					t.Fatalf("step %d: discrete %x vs fluid %x", step,
+					t.Fatalf("step %d: discrete %x vs class-level %x", step,
 						dres.Trajectory[step][0], fres.Trajectory[step][0])
 				}
 			}
 			if dres.Rates[0] != fres.Rates[0] {
-				t.Fatalf("final rate: discrete %x vs fluid %x", dres.Rates[0], fres.Rates[0])
+				t.Fatalf("final rate: discrete %x vs class-level %x", dres.Rates[0], fres.Rates[0])
 			}
 			if dres.Stats.FinalResidual != fres.Stats.FinalResidual {
 				t.Fatalf("final residual: %v vs %v", dres.Stats.FinalResidual, fres.Stats.FinalResidual)
@@ -159,10 +150,11 @@ func TestDegenerateBitwise(t *testing.T) {
 
 // TestCorners2x2 pins the fluid backend against the discrete kernel on
 // the paper's whole design space — {FIFO, Fair Share} × {aggregate,
-// individual} — with weighted multi-member classes. Lockstep Euler
-// must track the expanded discrete trajectory (the class collapse is
-// exact, so only summation-order noise separates them), and the
-// adaptive RK4 integrator must land on the same steady state.
+// individual} — with weighted multi-member classes. The class-level
+// core system in lockstep must track the expanded discrete trajectory
+// (the class collapse is exact, so only summation-order noise
+// separates them), and the adaptive RK4 integrator must land on the
+// same steady state.
 func TestCorners2x2(t *testing.T) {
 	for _, disc := range []string{"fifo", "fairshare"} {
 		for _, feed := range []string{"aggregate", "individual"} {
@@ -192,24 +184,18 @@ func TestCorners2x2(t *testing.T) {
 				}
 
 				// Lockstep: the collapsed dynamics expanded back out.
-				if err := fsys.SetStepping(Euler, 1); err != nil {
-					t.Fatal(err)
-				}
-				fres, err := fsys.Run(fr0, opt)
+				fres, err := fsys.sys.Run(fr0, opt)
 				if err != nil {
-					t.Fatalf("fluid lockstep run: %v", err)
+					t.Fatalf("class-level lockstep run: %v", err)
 				}
 				if !fres.Converged {
-					t.Fatalf("fluid lockstep run did not converge")
+					t.Fatalf("class-level lockstep run did not converge")
 				}
 				if d := supDiff(dres.Rates, expandRates(fsys, fres.Rates)); d > 1e-9 {
 					t.Errorf("lockstep steady-state rates differ by %v (> 1e-9)", d)
 				}
 
 				// Adaptive RK4: same fixed point by a different route.
-				if err := fsys.SetStepping(RK4, 0); err != nil {
-					t.Fatal(err)
-				}
 				ares, err := fsys.Run(fr0, opt)
 				if err != nil {
 					t.Fatalf("fluid adaptive run: %v", err)
@@ -227,7 +213,7 @@ func TestCorners2x2(t *testing.T) {
 
 // TestLockstepTrajectoryTracksExpanded compares whole trajectories,
 // not just fixed points: for a few hundred synchronous rounds the
-// collapsed weighted kernels must reproduce what the expanded discrete
+// class-level system must reproduce what the expanded discrete
 // population does, member for member, under every discipline.
 func TestLockstepTrajectoryTracksExpanded(t *testing.T) {
 	sp := loadSpec(t, specJSON("fairshare", "individual", 0.05, 5, 3))
@@ -236,16 +222,13 @@ func TestLockstepTrajectoryTracksExpanded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsys0, fr0, err := FromSpec(sp)
+	fsys, fr0, err := FromSpec(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, disc := range lockstepDisciplines {
 		t.Run(disc.Name(), func(t *testing.T) {
-			dsys, fsys := withDiscipline(t, dsys0, fsys0, disc)
-			if err := fsys.SetStepping(Euler, 1); err != nil {
-				t.Fatal(err)
-			}
+			dsys, csys := classLevel(t, dsys0, fsys, disc)
 			opt := sp.RunOptions()
 			opt.Record = true
 			opt.NoEarlyStop = true
@@ -253,7 +236,7 @@ func TestLockstepTrajectoryTracksExpanded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fres, err := fsys.Run(fr0, opt)
+			fres, err := csys.Run(fr0, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -424,58 +407,48 @@ func TestReportShape(t *testing.T) {
 	}
 }
 
-// plainDiscipline hides a discipline's weighted kernel, leaving only
-// the allocating Discipline methods.
-type plainDiscipline struct{ queueing.Discipline }
-
+// TestValidation checks that FromSpec, fluid's request-time
+// validation gate, rejects malformed populations through
+// scenario.FluidClasses, topology.Builder and core.NewWeightedSystem,
+// an idle gateway included, as Build does. NaN weights cannot be
+// written in a scenario; core's TestNewWeightedSystemValidation covers
+// them and a discipline without a weighted kernel.
 func TestValidation(t *testing.T) {
-	law := func() Class {
-		sys, _ := largeNSystem(t, 1)
-		return Class{Weight: 1, Law: sys.laws[0], Route: []int{0}}
-	}()
-	base := func() Config {
-		sys, _ := largeNSystem(t, 1)
-		return Config{
-			Gateways:   []Gateway{{Mu: 1, Latency: 0.1}},
-			Classes:    []Class{law},
-			Discipline: nil,
-			Style:      0,
-			Signal:     sys.b,
-		}
-	}
-	for name, mutate := range map[string]func(*Config){
-		"no gateways":       func(c *Config) { c.Gateways = nil },
-		"no classes":        func(c *Config) { c.Classes = nil },
-		"no signal":         func(c *Config) { c.Signal = nil },
-		"bad mu":            func(c *Config) { c.Gateways[0].Mu = math.Inf(1) },
-		"bad latency":       func(c *Config) { c.Gateways[0].Latency = -1 },
-		"bad weight":        func(c *Config) { c.Classes[0].Weight = 0.5 },
-		"nan weight":        func(c *Config) { c.Classes[0].Weight = math.NaN() },
-		"fractional weight": func(c *Config) { c.Classes[0].Weight = 1.5 },
-		"huge weight":       func(c *Config) { c.Classes[0].Weight = 1e300 },
-		"gateway total": func(c *Config) {
-			c.Classes[0].Weight = float64(scenario.MaxCount)
-			c.Classes = append(c.Classes, c.Classes[0])
+	for name, mutate := range map[string]func(*scenario.Spec){
+		"no gateways": func(sp *scenario.Spec) { sp.Gateways = nil },
+		"no classes":  func(sp *scenario.Spec) { sp.Connections = nil },
+		"no signal":   func(sp *scenario.Spec) { sp.Signal.Kind = "nope" },
+		"bad mu":      func(sp *scenario.Spec) { sp.Gateways[0].Mu = 0 },
+		"bad latency": func(sp *scenario.Spec) { sp.Gateways[0].Latency = -1 },
+		"bad weight":  func(sp *scenario.Spec) { sp.Connections[0].Count = -1 },
+		"huge weight": func(sp *scenario.Spec) { sp.Connections[0].Count = scenario.MaxCount + 1 },
+		"gateway total": func(sp *scenario.Spec) {
+			sp.Connections[0].Count = scenario.MaxCount
+			sp.Connections = append(sp.Connections, sp.Connections[0])
 		},
-		"no discipline":      func(c *Config) { c.Discipline = nil },
-		"no weighted kernel": func(c *Config) { c.Discipline = plainDiscipline{queueing.FIFO{}} },
-		"empty route":        func(c *Config) { c.Classes[0].Route = nil },
-		"unknown gateway":    func(c *Config) { c.Classes[0].Route = []int{3} },
-		"dup gateway":        func(c *Config) { c.Classes[0].Route = []int{0, 0} },
-		"bad step":           func(c *Config) { c.Step = math.NaN() },
+		"no discipline":   func(sp *scenario.Spec) { sp.Discipline = "nope" },
+		"empty route":     func(sp *scenario.Spec) { sp.Connections[0].Path = nil },
+		"unknown gateway": func(sp *scenario.Spec) { sp.Connections[0].Path = []string{"Z"} },
+		"dup gateway":     func(sp *scenario.Spec) { sp.Connections[0].Path = []string{"A", "A"} },
+		"idle gateway": func(sp *scenario.Spec) {
+			sp.Gateways = append(sp.Gateways, scenario.GatewaySpec{Name: "B", Mu: 1})
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			cfg := base()
-			cfg.Discipline = queueing.FairShare{}
-			cfg.Style = signal.Individual
-			mutate(&cfg)
-			if _, err := New(cfg); err == nil {
-				t.Fatalf("New accepted an invalid config (%s)", name)
+			sp := largeNSpec(t, 1e5)
+			mutate(sp)
+			if _, _, err := FromSpec(sp); err == nil {
+				t.Fatalf("FromSpec accepted an invalid scenario (%s)", name)
 			}
 		})
 	}
 
 	sys, r0 := largeNSystem(t, 4)
+	t.Run("bad step", func(t *testing.T) {
+		if err := sys.SetStep(math.NaN()); err == nil {
+			t.Fatal("SetStep accepted NaN")
+		}
+	})
 	if _, err := sys.Run([]float64{1, 2}, core.RunOptions{}); err == nil {
 		t.Fatal("Run accepted a wrong-length rate vector")
 	}

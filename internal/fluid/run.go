@@ -31,13 +31,14 @@ const (
 // telemetry, same tracer callback (class vectors in place of
 // connection vectors), same Record semantics.
 //
-// With a fixed Config.Step each counted step advances time by exactly
-// Step and convergence is core's criterion — sup-norm rate change at
-// most Tol·(1 + max rate) for Window consecutive steps. In adaptive
-// mode a counted step advances by whatever the error control accepted,
-// so rate changes are not comparable across steps; convergence is
-// instead on the drift residual max|Φ_c| ≤ Tol·(1 + max rate) for
-// Window consecutive accepted steps, which is step-size independent.
+// With a fixed step (SetStep) each counted step advances time by
+// exactly that step and convergence is core's criterion — sup-norm
+// rate change at most Tol·(1 + max rate) for Window consecutive
+// steps. In adaptive mode a counted step advances by whatever the
+// error control accepted, so rate changes are not comparable across
+// steps; convergence is instead on the drift residual
+// max|Φ_c| ≤ Tol·(1 + max rate) for Window consecutive accepted
+// steps, which is step-size independent.
 //
 // opt.Hook must be nil: fault injection is defined per connection and
 // per synchronous round, neither of which survives the fluid limit —
@@ -67,12 +68,12 @@ func (s *System) Run(r0 []float64, opt core.RunOptions) (*core.RunResult, error)
 		h = adaptiveH0
 	}
 	calm := 0
-	fresh := false // k1, bR and dR already hold the drift at r
+	fresh := false // k1 and bR already hold the drift at r
 	for step := 0; step < opt.MaxSteps; step++ {
-		// Drift at the current point: k1 seeds every stage scheme and
+		// Drift at the current point: k1 seeds the RK4 stages and
 		// doubles as the residual and the tracer's signal source.
 		if !fresh {
-			s.derivInto(w, r, w.k1, w.bR, w.dR)
+			w.derivInto(r, w.k1, w.bR)
 		}
 		resid := maxAbs(w.k1)
 		res.Stats.Observe(resid, step == 0)
@@ -80,15 +81,14 @@ func (s *System) Run(r0 []float64, opt core.RunOptions) (*core.RunResult, error)
 			opt.Tracer.OnStep(step, r, resid, w.bR)
 		}
 		if adaptive {
-			s.adaptiveStep(w, r, next, &h, opt.Tol)
+			w.adaptiveStep(r, next, &h, opt.Tol)
 			// The step's curvature check left the drift at the accepted
-			// state in k2, bT and dT: the next step's k1, bR and dR.
+			// state in k2 and bT: the next step's k1 and bR.
 			w.k1, w.k2 = w.k2, w.k1
 			w.bR, w.bT = w.bT, w.bR
-			w.dR, w.dT = w.dT, w.dR
 			fresh = true
 		} else {
-			s.advanceFrom(w, r, w.k1, next, h)
+			w.advanceFrom(r, w.k1, next, h)
 		}
 		if w.err != nil {
 			return nil, fmt.Errorf("fluid: step %d: %w", step, w.err)
@@ -125,12 +125,12 @@ func (s *System) Run(r0 []float64, opt core.RunOptions) (*core.RunResult, error)
 		}
 	}
 	res.Rates = r
-	final, err := s.Observe(r)
+	final, err := s.sys.Observe(r)
 	if err != nil {
 		return nil, err
 	}
 	res.Final = final
-	s.derivInto(w, r, w.k1, w.bT, w.dT)
+	w.derivInto(r, w.k1, w.bT)
 	finalResid := maxAbs(w.k1)
 	res.Stats.Observe(finalResid, res.Steps == 0)
 	res.Stats.FinalResidual = finalResid
@@ -139,31 +139,20 @@ func (s *System) Run(r0 []float64, opt core.RunOptions) (*core.RunResult, error)
 	return res, nil
 }
 
-// advanceFrom applies one step of the configured stage scheme from r
-// with the drift at r already in k1, writing the clamped result into
-// out. out must not alias r or the workspace stage buffers.
+// advanceFrom applies one RK4 step of size h from r with the drift at
+// r already in k1, writing the clamped result into out. out must not
+// alias r or the workspace stage buffers.
 //
 //ffc:hotpath
-func (s *System) advanceFrom(w *workspace, r, k1, out []float64, h float64) {
-	switch s.method {
-	case Euler:
-		// With h = 1 this is the discrete map r' = max(0, r + f)
-		// bit-for-bit — the lockstep cross-validation mode.
-		stageInto(out, r, k1, h)
-	case Midpoint:
-		stageInto(w.rs, r, k1, h/2)
-		s.derivInto(w, w.rs, w.k2, w.bT, w.dT)
-		stageInto(out, r, w.k2, h)
-	default: // RK4
-		stageInto(w.rs, r, k1, h/2)
-		s.derivInto(w, w.rs, w.k2, w.bT, w.dT)
-		stageInto(w.rs, r, w.k2, h/2)
-		s.derivInto(w, w.rs, w.k3, w.bT, w.dT)
-		stageInto(w.rs, r, w.k3, h)
-		s.derivInto(w, w.rs, w.k4, w.bT, w.dT)
-		for i := range out {
-			out[i] = clampRate(r[i] + h/6*(k1[i]+2*w.k2[i]+2*w.k3[i]+w.k4[i]))
-		}
+func (w *workspace) advanceFrom(r, k1, out []float64, h float64) {
+	stageInto(w.rs, r, k1, h/2)
+	w.derivInto(w.rs, w.k2, w.bT)
+	stageInto(w.rs, r, w.k2, h/2)
+	w.derivInto(w.rs, w.k3, w.bT)
+	stageInto(w.rs, r, w.k3, h)
+	w.derivInto(w.rs, w.k4, w.bT)
+	for i := range out {
+		out[i] = clampRate(r[i] + h/6*(k1[i]+2*w.k2[i]+2*w.k3[i]+w.k4[i]))
 	}
 }
 
@@ -188,12 +177,12 @@ const curvatureTol = 0.5
 // accurate of the two — is committed. A comfortably small estimate
 // doubles the next trial step, which is what collapses the η ~ 1/N
 // stiffness of large scaled populations into tens of accepted steps.
-func (s *System) adaptiveStep(w *workspace, r, next []float64, h *float64, tol float64) {
+func (w *workspace) adaptiveStep(r, next []float64, h *float64, tol float64) {
 	kscale := maxAbs(w.k1)
 	for {
 		hh := *h
-		s.advanceFrom(w, r, w.k1, w.y1, hh)
-		stageHalfPair(s, w, r, hh)
+		w.advanceFrom(r, w.k1, w.y1, hh)
+		w.stageHalfPair(r, hh)
 		errEst, scale := 0.0, 1.0
 		for i := range w.y1 {
 			if d := math.Abs(w.y1[i] - w.y2[i]); d > errEst {
@@ -204,7 +193,7 @@ func (s *System) adaptiveStep(w *workspace, r, next []float64, h *float64, tol f
 			}
 		}
 		// Drift deviation across the step (k2 is free after the stages).
-		s.derivInto(w, w.y2, w.k2, w.bT, w.dT)
+		w.derivInto(w.y2, w.k2, w.bT)
 		dev := 0.0
 		for i := range w.k2 {
 			if d := math.Abs(w.k2[i] - w.k1[i]); d > dev {
@@ -222,17 +211,17 @@ func (s *System) adaptiveStep(w *workspace, r, next []float64, h *float64, tol f
 	}
 }
 
-// stageHalfPair computes two half steps of the configured scheme from
-// r into w.y2, reusing the drift at r in w.k1 for the first half and
-// evaluating the midpoint drift into w.kh for the second.
-func stageHalfPair(s *System, w *workspace, r []float64, h float64) {
-	s.advanceFrom(w, r, w.k1, w.mid, h/2)
-	s.derivInto(w, w.mid, w.kh, w.bT, w.dT)
-	s.advanceFrom(w, w.mid, w.kh, w.y2, h/2)
+// stageHalfPair computes two half RK4 steps from r into w.y2, reusing
+// the drift at r in w.k1 for the first half and evaluating the
+// midpoint drift into w.kh for the second.
+func (w *workspace) stageHalfPair(r []float64, h float64) {
+	w.advanceFrom(r, w.k1, w.mid, h/2)
+	w.derivInto(w.mid, w.kh, w.bT)
+	w.advanceFrom(w.mid, w.kh, w.y2, h/2)
 }
 
 // stageInto writes the clamped explicit step out = max(0, r + h·k),
-// the shared inner loop of every stage scheme.
+// the shared inner loop of the RK4 stages.
 //
 //ffc:hotpath
 func stageInto(out, r, k []float64, h float64) {
@@ -264,56 +253,20 @@ func maxAbs(v []float64) float64 {
 	return m
 }
 
-// Report assembles the machine-readable run report, mirroring
-// core.System.Report with class-indexed vectors: Rates, Signals,
-// Delays, and each gateway's Queues carry one entry per class, the
-// report's ClassWeights column says how many connections each entry
-// represents, and Backend/Population mark the provenance. Gateway
-// utilization and queue totals are population-weighted, so they equal
-// what the expanded discrete run would report; GatewayReport.
-// Connections is the represented population at the gateway.
+// Report assembles the machine-readable run report: core's report of
+// the class-level system — class-indexed Rates, Signals, Delays and
+// per-gateway Queues, population-weighted gateway utilization, total
+// queue and connection count, so those equal what the expanded
+// discrete run would report — plus the provenance: Backend, the
+// represented Population, and the ClassWeights column saying how many
+// connections each entry stands for.
 func (s *System) Report(res *core.RunResult, scenario string) (*obs.RunReport, error) {
-	if res == nil || res.Final == nil {
-		return nil, fmt.Errorf("fluid: report of an incomplete run")
+	rep, err := s.sys.Report(res, scenario)
+	if err != nil {
+		return nil, err
 	}
-	rep := &obs.RunReport{
-		Schema:          obs.RunReportSchema,
-		Scenario:        scenario,
-		Steps:           res.Steps,
-		Converged:       res.Converged,
-		WallNS:          res.Stats.WallTime.Nanoseconds(),
-		InitialResidual: obs.Float(res.Stats.InitialResidual),
-		FinalResidual:   obs.Float(res.Stats.FinalResidual),
-		MinResidual:     obs.Float(res.Stats.MinResidual),
-		MaxResidual:     obs.Float(res.Stats.MaxResidual),
-		Rates:           obs.Floats(res.Rates),
-		Signals:         obs.Floats(res.Final.Signals),
-		Delays:          obs.Floats(res.Final.Delays),
-		Backend:         "fluid",
-		Population:      int64(s.Population()),
-		ClassWeights:    obs.Floats(s.weights),
-	}
-	for a, queues := range res.Final.Queues {
-		g := obs.GatewayReport{
-			Gateway:     a,
-			Connections: int(s.gwWeight[a]),
-			Queues:      obs.Floats(queues),
-		}
-		load := 0.0
-		for _, c := range s.members[a] {
-			load += s.weights[c] * res.Rates[c]
-		}
-		g.Utilization = obs.Float(load / s.mu[a])
-		total, max := 0.0, 0.0
-		for k, q := range queues {
-			total += s.weights[s.members[a][k]] * q
-			if q > max {
-				max = q
-			}
-		}
-		g.TotalQueue = obs.Float(total)
-		g.MaxQueue = obs.Float(max)
-		rep.Gateways = append(rep.Gateways, g)
-	}
+	rep.Backend = "fluid"
+	rep.Population = int64(s.Population())
+	rep.ClassWeights = obs.Floats(s.Weights())
 	return rep, nil
 }

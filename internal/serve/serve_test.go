@@ -676,3 +676,30 @@ func TestServeBackendSelection(t *testing.T) {
 		t.Fatal("discrete and fluid requests share a cache key")
 	}
 }
+
+// TestIdleGatewayRejectedOnEveryBackend: a gateway no connection
+// crosses is a modelling error on either backend. Below and above the
+// fluid threshold, under every -backend choice, CanonicalKey and
+// POST /run reject it with the same message.
+func TestIdleGatewayRejectedOnEveryBackend(t *testing.T) {
+	const want = "scenario: topology: gateway 1 (B) carries no connections"
+	for _, count := range []int{10, 70000} {
+		doc := fmt.Sprintf(`{
+			"gateways": [{"name": "A", "mu": 1}, {"name": "B", "mu": 1}],
+			"connections": [{"path": ["A"], "count": %d, "law": {"eta": 0.001, "bss": 0.5}}]
+		}`, count)
+		if _, err := CanonicalKey([]byte(doc)); err == nil || err.Error() != want {
+			t.Errorf("count %d: CanonicalKey error %v, want %q", count, err, want)
+		}
+		for _, backend := range []string{BackendDiscrete, BackendFluid, BackendAuto} {
+			_, ts := newTestServer(t, Config{Workers: 1, Backend: backend})
+			resp, body := post(t, ts.URL+"/run", doc)
+			var e struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(body, &e); resp.StatusCode != http.StatusBadRequest || err != nil || e.Error != want {
+				t.Errorf("count %d, backend %s: %d %s, want 400 %q", count, backend, resp.StatusCode, body, want)
+			}
+		}
+	}
+}

@@ -299,8 +299,7 @@ func GatewaySignalsWeighted(out []float64, style Style, b Func, q, m []float64, 
 }
 
 // GatewaySignalsBatched is GatewaySignalsWeighted at unit weights, one
-// connection per slot: the variant the core step kernel calls every
-// iteration.
+// connection per slot.
 //
 //ffc:hotpath
 func GatewaySignalsBatched(out []float64, style Style, b Func, q []float64, scr *Scratch) error {
