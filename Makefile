@@ -97,10 +97,14 @@ chaos:
 # its ≥10× hit-latency bound, the full HTTP surface (byte-identical
 # cache hits, singleflight under concurrent identical requests, 429
 # backpressure, graceful-shutdown drain under in-flight load), and the
-# ffcd boot→POST×2→SIGTERM round trip — all under the race detector.
+# ffcd boot→POST×2→SIGTERM round trip — all under the race detector —
+# then 10 s each of the scenario loader's fuzz target and of the /run
+# front end's (bare and envelope bodies; status 200/400/422; every
+# cached key's body built).
 serve-smoke:
 	$(GO) test -race -count=1 ./internal/runcache/ ./internal/serve/ ./cmd/ffcd/
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 10s ./internal/scenario/
+	$(GO) test -run '^$$' -fuzz FuzzRunRequest -fuzztime 10s ./internal/serve/
 
 # bench-serve (docs/OBSERVABILITY.md): boot a local ffcd, drive the
 # documented open-loop ramp with ffload, and write the versioned

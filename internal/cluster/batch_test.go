@@ -61,9 +61,9 @@ func TestGatewayBatchFanoutReassemblesInOrder(t *testing.T) {
 	for _, d := range docs {
 		runs = append(runs, json.RawMessage(d))
 	}
-	// One unaddressable item in the middle: a per-item error, never a
-	// batch failure.
-	runs = append(runs[:6], append([]json.RawMessage{json.RawMessage(`{"name":"junk"}`)}, runs[6:]...)...)
+	// One unaddressable item (an unknown field) in the middle: a
+	// per-item error, never a batch failure.
+	runs = append(runs[:6], append([]json.RawMessage{json.RawMessage(`{"nam":"junk"}`)}, runs[6:]...)...)
 
 	resp, body := postBatch(t, ts.URL, runs)
 	if resp.StatusCode != http.StatusOK {

@@ -446,8 +446,12 @@ func (g *Gateway) serveRun(w http.ResponseWriter, r *http.Request, sp *obs.Span)
 	}
 
 	// Route: derive the content address exactly as the replica will,
-	// so the ring placement and the replica's cache entry agree. A body
-	// the replicas would reject is refused here — no dispatch spent.
+	// so the ring placement and the replica's cache entry agree. The
+	// key costs one decode and one hash, no Build. A body without an
+	// address (malformed JSON, unknown fields or kinds, a bad fault
+	// spec) is refused here, no dispatch spent; one that has an address
+	// but does not build is its replica's to reject, and that 400 is
+	// proxied verbatim below like any other final answer.
 	sp.Phase("route")
 	key, err := serve.CanonicalKey(body)
 	if err != nil {

@@ -211,10 +211,14 @@ func TestGatewayRoutesByContentAddress(t *testing.T) {
 	}
 }
 
+// TestGatewayRejectsUnaddressableBody: a body that has no content
+// address — here an unknown field — is refused at the gateway without
+// a dispatch. (A body that decodes but does not build has an address;
+// its replica rejects it, see TestGatewayPassesReplica400Through.)
 func TestGatewayRejectsUnaddressableBody(t *testing.T) {
 	r0 := okReplica(t, 0)
 	g, ts, _ := newTestGateway(t, []string{r0.ts.URL}, nil)
-	resp, _ := post(t, ts.URL+"/run", `{"name":"not a scenario"}`)
+	resp, _ := post(t, ts.URL+"/run", `{"nam":"not a scenario"}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unaddressable body: %d, want 400", resp.StatusCode)
 	}

@@ -1,10 +1,11 @@
 package scenario
 
 import (
-	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
+
+	"github.com/nettheory/feedbackflow/internal/finite"
 )
 
 // CanonicalVersion tags the canonical encoding; it changes whenever
@@ -33,149 +34,214 @@ const CanonicalVersion = "ffc-scenario-canon/v1"
 // Gateway and connection order is preserved: it determines the index
 // space of the report, so reordering is a semantically different
 // scenario. Canonical validates as it encodes (unknown kinds,
-// non-finite parameters, negative maxSteps) and errors on specs Build
-// would reject for those reasons; it does not repeat Build's
-// topological checks.
+// non-finite parameters, counts out of range, negative maxSteps) and
+// errors on specs Build would reject for those reasons, with Build's
+// wording; it does not repeat Build's topological checks.
 func (s *Spec) Canonical() ([]byte, error) {
-	var b bytes.Buffer
-	b.WriteString(CanonicalVersion)
-	b.WriteByte('\n')
-	fmt.Fprintf(&b, "name=%s\n", strconv.Quote(s.Name))
+	return s.AppendCanonical(nil)
+}
 
-	disc, err := canonKind("discipline", s.Discipline, map[string]string{
-		"": "fairshare", "fs": "fairshare", "fairshare": "fairshare", "fifo": "fifo",
-	})
+// AppendCanonical appends the canonical encoding (see Canonical) to
+// dst and returns the extended buffer. Encoding into a buffer with
+// room to spare allocates nothing, so a caller that reuses its buffer
+// canonicalizes for free.
+func (s *Spec) AppendCanonical(dst []byte) ([]byte, error) {
+	b := append(dst, CanonicalVersion...)
+	b = append(b, "\nname="...)
+	b = strconv.AppendQuote(b, s.Name)
+
+	disc, err := canonDiscipline(s.Discipline)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	fmt.Fprintf(&b, "discipline=%s\n", disc)
+	b = append(b, "\ndiscipline="...)
+	b = append(b, disc...)
 
-	feed, err := canonKind("feedback", s.Feedback, map[string]string{
-		"": "individual", "individual": "individual", "aggregate": "aggregate",
-	})
+	feed, err := canonFeedback(s.Feedback)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	fmt.Fprintf(&b, "feedback=%s\n", feed)
+	b = append(b, "\nfeedback="...)
+	b = append(b, feed...)
+	b = append(b, '\n')
 
-	if err := canonSignal(&b, s.Signal); err != nil {
-		return nil, err
+	if b, err = appendSignal(b, s.Signal); err != nil {
+		return dst, err
 	}
 
 	for _, g := range s.Gateways {
-		if err := finiteParam("gateway "+g.Name+" mu", g.Mu); err != nil {
-			return nil, err
+		if finite.IsBad(g.Mu) {
+			return dst, finiteParam("gateway "+g.Name+" mu", g.Mu)
 		}
-		if err := finiteParam("gateway "+g.Name+" latency", g.Latency); err != nil {
-			return nil, err
+		if finite.IsBad(g.Latency) {
+			return dst, finiteParam("gateway "+g.Name+" latency", g.Latency)
 		}
-		fmt.Fprintf(&b, "gateway=%s mu=%s latency=%s\n",
-			strconv.Quote(g.Name), canonFloat(g.Mu), canonFloat(g.Latency))
+		b = append(b, "gateway="...)
+		b = strconv.AppendQuote(b, g.Name)
+		b = append(b, " mu="...)
+		b = appendFloat(b, g.Mu)
+		b = append(b, " latency="...)
+		b = appendFloat(b, g.Latency)
+		b = append(b, '\n')
 	}
 
 	for ci, c := range s.Connections {
-		fmt.Fprintf(&b, "conn=[")
+		b = append(b, "conn=["...)
 		for i, name := range c.Path {
 			if i > 0 {
-				b.WriteByte(',')
+				b = append(b, ',')
 			}
-			b.WriteString(strconv.Quote(name))
+			b = strconv.AppendQuote(b, name)
 		}
-		b.WriteByte(']')
+		b = append(b, ']')
 		// A count of 0 or 1 is one connection and is not emitted, so
 		// every pre-count spec keeps its exact canonical bytes (and its
 		// cache address). "count=" cannot collide with path content —
 		// names inside the brackets are quoted.
 		n, err := c.count()
 		if err != nil {
-			return nil, fmt.Errorf("scenario: connection %d: %w", ci, err)
+			return dst, fmt.Errorf("scenario: connection %d: %w", ci, err)
 		}
 		if n > 1 {
-			fmt.Fprintf(&b, " count=%d", n)
+			b = append(b, " count="...)
+			b = strconv.AppendInt(b, n, 10)
 		}
-		kind, err := canonKind("law", c.Law.Kind, map[string]string{
-			"": "additive", "additive": "additive", "multiplicative": "multiplicative",
-			"power": "power", "fairrate": "fairrate", "window": "window",
-		})
-		if err != nil {
-			return nil, fmt.Errorf("scenario: connection %d: %w", ci, err)
+		b = append(b, " law="...)
+		if b, err = appendLaw(b, c.Law); err != nil {
+			return dst, fmt.Errorf("scenario: connection %d: %w", ci, err)
 		}
-		fmt.Fprintf(&b, " law=%s", kind)
-		for _, p := range lawParams(c.Law) {
-			if err := finiteParam(fmt.Sprintf("connection %d law %s", ci, p.name), p.v); err != nil {
-				return nil, err
-			}
-			fmt.Fprintf(&b, " %s=%s", p.name, canonFloat(p.v))
-		}
-		b.WriteByte('\n')
+		b = append(b, '\n')
 	}
 
 	if len(s.Initial) > 0 {
-		b.WriteString("initial=")
+		b = append(b, "initial="...)
 		for i, v := range s.Initial {
-			if err := finiteParam(fmt.Sprintf("initial[%d]", i), v); err != nil {
-				return nil, err
+			if finite.IsBad(v) {
+				return dst, finiteParam(fmt.Sprintf("initial[%d]", i), v)
 			}
 			if i > 0 {
-				b.WriteByte(',')
+				b = append(b, ',')
 			}
-			b.WriteString(canonFloat(v))
+			b = appendFloat(b, v)
 		}
-		b.WriteByte('\n')
+		b = append(b, '\n')
 	}
 	if s.MaxSteps < 0 {
-		return nil, fmt.Errorf("scenario: maxSteps %d is negative (0 means the default)", s.MaxSteps)
+		return dst, fmt.Errorf("scenario: maxSteps %d is negative (0 means the default)", s.MaxSteps)
 	}
 	if s.MaxSteps != 0 {
-		fmt.Fprintf(&b, "maxsteps=%d\n", s.MaxSteps)
+		b = append(b, "maxsteps="...)
+		b = strconv.AppendInt(b, int64(s.MaxSteps), 10)
+		b = append(b, '\n')
 	}
-	return b.Bytes(), nil
+	return b, nil
 }
 
-// canonSignal emits the signal line: the normalized kind plus only the
-// parameters that kind consumes.
-func canonSignal(b *bytes.Buffer, sp SignalSpec) error {
-	kind, err := canonKind("signal", sp.Kind, map[string]string{
-		"": "rational", "rational": "rational", "power": "power",
-		"exponential": "exponential", "binary": "binary",
-	})
+// appendSignal appends the signal line: the normalized kind plus only
+// the parameters that kind consumes.
+func appendSignal(b []byte, sp SignalSpec) ([]byte, error) {
+	kind, err := canonSignal(sp.Kind)
 	if err != nil {
-		return err
+		return b, err
 	}
+	b = append(b, "signal="...)
+	b = append(b, kind...)
+	var (
+		param string
+		v     float64
+	)
 	switch kind {
 	case "rational":
-		b.WriteString("signal=rational\n")
+		return append(b, '\n'), nil
 	case "power":
-		if err := finiteParam("signal k", sp.K); err != nil {
-			return err
-		}
-		fmt.Fprintf(b, "signal=power k=%s\n", canonFloat(sp.K))
+		param, v = "k", sp.K
 	case "exponential":
-		if err := finiteParam("signal theta", sp.Theta); err != nil {
-			return err
-		}
-		fmt.Fprintf(b, "signal=exponential theta=%s\n", canonFloat(sp.Theta))
+		param, v = "theta", sp.Theta
 	case "binary":
-		if err := finiteParam("signal threshold", sp.Threshold); err != nil {
-			return err
+		param, v = "threshold", sp.Threshold
+	}
+	if finite.IsBad(v) {
+		return b, finiteParam("signal "+param, v)
+	}
+	b = append(b, ' ')
+	b = append(b, param...)
+	b = append(b, '=')
+	b = appendFloat(b, v)
+	return append(b, '\n'), nil
+}
+
+// appendLaw appends a law's normalized kind followed by " name=value"
+// for each parameter the kind consumes. The law field of Canonical and
+// the fluid backend's class key (FluidClasses) are both this encoding,
+// so two laws share a class exactly when they canonicalize equal.
+func appendLaw(b []byte, sp LawSpec) ([]byte, error) {
+	kind, err := canonLaw(sp.Kind)
+	if err != nil {
+		return b, err
+	}
+	b = append(b, kind...)
+	params, n := lawParams(kind, sp)
+	for _, p := range params[:n] {
+		if finite.IsBad(p.v) {
+			return b, finiteParam("law "+p.name, p.v)
 		}
-		fmt.Fprintf(b, "signal=binary threshold=%s\n", canonFloat(sp.Threshold))
+		b = append(b, ' ')
+		b = append(b, p.name...)
+		b = append(b, '=')
+		b = appendFloat(b, p.v)
 	}
-	return nil
+	return b, nil
 }
 
-// canonKind lowercases a kind string and resolves it through the alias
-// table, erroring on kinds the builder would reject.
-func canonKind(what, kind string, aliases map[string]string) (string, error) {
-	if canon, ok := aliases[strings.ToLower(kind)]; ok {
-		return canon, nil
+// The canon* resolvers are the one alias table per kind: each maps
+// every accepted spelling (case-insensitively, "" being the default)
+// to the kind's canonical name, and rejects any other with the error
+// both Canonical and Build report. Build's compilers switch on the
+// names they return.
+
+func canonDiscipline(kind string) (string, error) {
+	switch strings.ToLower(kind) {
+	case "", "fs", "fairshare":
+		return "fairshare", nil
+	case "fifo":
+		return "fifo", nil
 	}
-	return "", fmt.Errorf("scenario: unknown %s %q", what, kind)
+	return "", fmt.Errorf("scenario: unknown discipline %q", kind)
 }
 
-// canonFloat renders v exactly: 'x' is hexadecimal floating point with
+func canonFeedback(kind string) (string, error) {
+	switch strings.ToLower(kind) {
+	case "", "individual":
+		return "individual", nil
+	case "aggregate":
+		return "aggregate", nil
+	}
+	return "", fmt.Errorf("scenario: unknown feedback style %q", kind)
+}
+
+func canonSignal(kind string) (string, error) {
+	switch k := strings.ToLower(kind); k {
+	case "", "rational":
+		return "rational", nil
+	case "power", "exponential", "binary":
+		return k, nil
+	}
+	return "", fmt.Errorf("scenario: unknown signal kind %q", kind)
+}
+
+func canonLaw(kind string) (string, error) {
+	switch k := strings.ToLower(kind); k {
+	case "", "additive":
+		return "additive", nil
+	case "multiplicative", "power", "fairrate", "window":
+		return k, nil
+	}
+	return "", fmt.Errorf("unknown law kind %q", kind)
+}
+
+// appendFloat renders v exactly: 'x' is hexadecimal floating point with
 // the shortest exact mantissa, so distinct float64 bit patterns render
 // distinctly and equal values identically on every platform.
-func canonFloat(v float64) string {
-	return strconv.FormatFloat(v, 'x', -1, 64)
+func appendFloat(b []byte, v float64) []byte {
+	return strconv.AppendFloat(b, v, 'x', -1, 64)
 }

@@ -103,12 +103,12 @@ func (s *Spec) FluidClasses() ([]ClassSpec, error) {
 			key.WriteString(strconv.Quote(name))
 			key.WriteByte(',')
 		}
-		lawKey, err := canonLawKey(c.Law)
+		lawKey, err := appendLaw(nil, c.Law)
 		if err != nil {
 			return nil, fmt.Errorf("scenario: connection %d: %w", ci, err)
 		}
 		key.WriteByte('|')
-		key.WriteString(lawKey)
+		key.Write(lawKey)
 		prefix := key.String()
 
 		// Default initial: 1% of the first gateway's service rate,
@@ -122,7 +122,7 @@ func (s *Spec) FluidClasses() ([]ClassSpec, error) {
 				return fmt.Errorf("scenario: initial[%d] = %v: initial rates must be finite and non-negative", member, init)
 			}
 			init = finite.Norm(init)
-			k := prefix + "|" + canonFloat(init)
+			k := prefix + "|" + string(appendFloat(nil, init))
 			if at, ok := index[k]; ok {
 				classes[at].Count += count
 			} else {
@@ -146,32 +146,6 @@ func (s *Spec) FluidClasses() ([]ClassSpec, error) {
 		}
 	}
 	return classes, nil
-}
-
-// canonLawKey renders the law the way Canonical does — normalized
-// kind, only the consumed parameters, exact float bits — so two law
-// specs land in one class exactly when the canonical encoding calls
-// them equal.
-func canonLawKey(sp LawSpec) (string, error) {
-	kind, err := canonKind("law", sp.Kind, map[string]string{
-		"": "additive", "additive": "additive", "multiplicative": "multiplicative",
-		"power": "power", "fairrate": "fairrate", "window": "window",
-	})
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	b.WriteString(kind)
-	for _, p := range lawParams(sp) {
-		if err := finiteParam("law "+p.name, p.v); err != nil {
-			return "", err
-		}
-		b.WriteByte(' ')
-		b.WriteString(p.name)
-		b.WriteByte('=')
-		b.WriteString(canonFloat(p.v))
-	}
-	return b.String(), nil
 }
 
 // The Build* wrappers export the spec-fragment compilers so the fluid

@@ -2,39 +2,21 @@ package scenario
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
+
+	"github.com/nettheory/feedbackflow/internal/scenario/scenariotest"
 )
 
 // FuzzLoad drives the loader — the repository's only untrusted input
 // surface — with arbitrary bytes: malformed input must produce an
 // error, never a panic, and input that loads must survive Build and
-// canonicalize deterministically. Seeded with the shipped scenario
-// files plus the malformed shapes the regression tests guard.
+// canonicalize deterministically. Seeded with the shared corpus
+// (internal/scenario/scenariotest): the shipped scenario files plus the
+// malformed shapes the regression tests guard.
 func FuzzLoad(f *testing.F) {
-	dir := filepath.Join("..", "..", "scenarios")
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		f.Fatalf("scenarios directory missing: %v", err)
+	for _, d := range scenariotest.Corpus(f) {
+		f.Add(d.Body)
 	}
-	for _, e := range entries {
-		if e.IsDir() || filepath.Ext(e.Name()) != ".json" {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
-	}
-	f.Add([]byte(`{"name":"x"}!!!`))
-	f.Add([]byte(`{"name":"x"} {"name":"y"}`))
-	f.Add([]byte(`{"maxSteps": -1, "gateways": [{"name":"G","mu":1}], "connections": [{"path":["G"]}]}`))
-	f.Add([]byte(`{"initial": [-1], "gateways": [{"name":"G","mu":1}], "connections": [{"path":["G"]}]}`))
-	f.Add([]byte(`{"gateways": [{"name":"G","mu":1e999}], "connections": [{"path":["G"]}]}`))
-	f.Add([]byte(`not json`))
-	f.Add([]byte(``))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := Load(bytes.NewReader(data))

@@ -26,7 +26,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 
 	"github.com/nettheory/feedbackflow/internal/control"
 	"github.com/nettheory/feedbackflow/internal/core"
@@ -256,28 +255,30 @@ func (s *Spec) RunOptions() core.RunOptions {
 }
 
 func buildDiscipline(kind string) (queueing.Discipline, error) {
-	switch strings.ToLower(kind) {
-	case "", "fairshare", "fs":
+	switch name, err := canonDiscipline(kind); name {
+	case "fairshare":
 		return queueing.FairShare{}, nil
 	case "fifo":
 		return queueing.FIFO{}, nil
+	default:
+		return nil, err
 	}
-	return nil, fmt.Errorf("scenario: unknown discipline %q", kind)
 }
 
 func buildFeedback(kind string) (signal.Style, error) {
-	switch strings.ToLower(kind) {
-	case "", "individual":
+	switch name, err := canonFeedback(kind); name {
+	case "individual":
 		return signal.Individual, nil
 	case "aggregate":
 		return signal.Aggregate, nil
+	default:
+		return 0, err
 	}
-	return 0, fmt.Errorf("scenario: unknown feedback style %q", kind)
 }
 
 func buildSignal(sp SignalSpec) (signal.Func, error) {
-	switch strings.ToLower(sp.Kind) {
-	case "", "rational":
+	switch name, err := canonSignal(sp.Kind); name {
+	case "rational":
 		return signal.Rational{}, nil
 	case "power":
 		// The positivity comparisons alone would wave NaN (and, for k,
@@ -305,40 +306,47 @@ func buildSignal(sp SignalSpec) (signal.Func, error) {
 			return nil, fmt.Errorf("scenario: binary signal needs threshold > 0")
 		}
 		return signal.Binary{Threshold: sp.Threshold}, nil
+	default:
+		return nil, err
 	}
-	return nil, fmt.Errorf("scenario: unknown signal kind %q", sp.Kind)
 }
 
-// lawParams names the parameters each law kind actually consumes; the
-// canonicalizer (see Canonical) drops the rest, so validation and
-// canonicalization agree on what is significant.
-func lawParams(sp LawSpec) []struct {
+// lawParam is one named law parameter.
+type lawParam struct {
 	name string
 	v    float64
-} {
-	type p = struct {
-		name string
-		v    float64
-	}
-	switch strings.ToLower(sp.Kind) {
-	case "", "additive", "multiplicative":
-		return []p{{"eta", sp.Eta}, {"bss", sp.BSS}}
+}
+
+// lawParams names the parameters a law of the given canonical kind
+// (see canonLaw) actually consumes, in canonical order, as a fixed
+// array and its length so the canonical encoder reads them without
+// allocating; the canonicalizer (see Canonical) drops the rest, so
+// validation and canonicalization agree on what is significant.
+func lawParams(kind string, sp LawSpec) ([3]lawParam, int) {
+	switch kind {
+	case "additive", "multiplicative":
+		return [3]lawParam{{"eta", sp.Eta}, {"bss", sp.BSS}}, 2
 	case "power":
-		return []p{{"eta", sp.Eta}, {"bss", sp.BSS}, {"p", sp.P}}
+		return [3]lawParam{{"eta", sp.Eta}, {"bss", sp.BSS}, {"p", sp.P}}, 3
 	case "fairrate", "window":
-		return []p{{"eta", sp.Eta}, {"beta", sp.Beta}}
+		return [3]lawParam{{"eta", sp.Eta}, {"beta", sp.Beta}}, 2
 	}
-	return nil
+	return [3]lawParam{}, 0
 }
 
 func buildLaw(sp LawSpec) (control.Law, error) {
-	for _, p := range lawParams(sp) {
+	kind, err := canonLaw(sp.Kind)
+	if err != nil {
+		return nil, err
+	}
+	params, n := lawParams(kind, sp)
+	for _, p := range params[:n] {
 		if err := finiteParam("law "+p.name, p.v); err != nil {
 			return nil, err
 		}
 	}
-	switch strings.ToLower(sp.Kind) {
-	case "", "additive":
+	switch kind {
+	default: // "additive"
 		return control.AdditiveTSI{Eta: sp.Eta, BSS: sp.BSS}, nil
 	case "multiplicative":
 		return control.MultiplicativeTSI{Eta: sp.Eta, BSS: sp.BSS}, nil
@@ -349,7 +357,6 @@ func buildLaw(sp LawSpec) (control.Law, error) {
 	case "window":
 		return control.WindowLIMD{Eta: sp.Eta, Beta: sp.Beta}, nil
 	}
-	return nil, fmt.Errorf("unknown law kind %q", sp.Kind)
 }
 
 // finiteParam rejects NaN and ±Inf parameter values with a message

@@ -276,14 +276,26 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string, drain time.Dur
 }
 
 // solve resolves one parsed request through the cache: a hit or a
-// coalesced wait is free; a miss passes admission control and runs the
-// scenario on the worker pool. sp, when non-nil, gains the queue /
-// solve / render phases on the goroutine that runs the solve (a
-// coalesced waiter's span simply stays in its cache phase while it
-// waits).
+// coalesced wait is free; a miss builds the spec, passes admission
+// control and runs the scenario on the worker pool. The build comes
+// before admission, so a document that does not build is a 400 (a
+// *buildError, which coalesced waiters share) even when the queue is
+// full. A miss that finds every run slot taken drops its build and
+// builds again once admitted: a queued request holds only its spec,
+// never a materialized population (a discrete document may expand to
+// 2^24 connections, and Queue of them may wait). sp, when non-nil,
+// gains the queue / solve / render phases on the goroutine that runs
+// the solve; the build is timed in its cache phase, a rebuild after a
+// wait in its queue phase (a coalesced waiter's span simply stays in
+// its cache phase while it waits).
 func (s *Server) solve(ctx context.Context, req *runRequest, sp *obs.Span) (body []byte, cached bool, err error) {
 	sp.Phase("cache")
 	return s.cache.Do(ctx, req.key, func() ([]byte, error) {
+		c, err := req.build()
+		if err != nil {
+			return nil, err
+		}
+
 		sp.Phase("queue")
 		select {
 		case s.queue <- struct{}{}:
@@ -295,10 +307,20 @@ func (s *Server) solve(ctx context.Context, req *runRequest, sp *obs.Span) (body
 
 		select {
 		case s.slots <- struct{}{}:
-		case <-ctx.Done():
-			return nil, ctx.Err()
+		default:
+			c = nil
+			select {
+			case s.slots <- struct{}{}:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
 		}
 		defer func() { <-s.slots }()
+		if c == nil {
+			if c, err = req.build(); err != nil {
+				return nil, err
+			}
+		}
 
 		if s.testHookSolve != nil {
 			s.testHookSolve()
@@ -307,7 +329,7 @@ func (s *Server) solve(ctx context.Context, req *runRequest, sp *obs.Span) (body
 		// panic-to-error conversion; concurrency across requests is
 		// already bounded by the slots.
 		out, err := parallel.Map(ctx, 1, 1, func(int) ([]byte, error) {
-			return renderRun(req, sp)
+			return renderRun(req, c, sp)
 		})
 		if err != nil {
 			return nil, err
@@ -316,52 +338,44 @@ func (s *Server) solve(ctx context.Context, req *runRequest, sp *obs.Span) (body
 	})
 }
 
-// renderRun executes the request and renders the versioned run report
-// exactly once; these bytes are what the cache serves verbatim
+// renderRun executes the built request and renders the versioned run
+// report exactly once; these bytes are what the cache serves verbatim
 // thereafter, which is what makes hits byte-identical to the miss.
-func renderRun(req *runRequest, sp *obs.Span) ([]byte, error) {
+func renderRun(req *runRequest, c *compiled, sp *obs.Span) ([]byte, error) {
 	sp.Phase("solve")
 	opts := req.spec.RunOptions()
-	if req.backend == BackendFluid {
+	if c.fsys != nil {
 		// parseRunRequest already rejected fault+fluid, so this is
 		// always a plain run.
-		fsys, fr0, err := fluid.FromSpec(req.spec)
-		if err != nil {
-			return nil, err
-		}
-		res, err := fsys.Run(fr0, opts)
+		res, err := c.fsys.Run(c.r0, opts)
 		if err != nil {
 			return nil, err
 		}
 		sp.Phase("render")
-		rep, err := fsys.Report(res, req.spec.Name)
+		rep, err := c.fsys.Report(res, req.spec.Name)
 		if err != nil {
 			return nil, err
 		}
 		return marshalReport(rep)
-	}
-	sys, r0, err := req.spec.Build()
-	if err != nil {
-		return nil, err
 	}
 	if !req.fault.Enabled() {
-		res, err := sys.Run(r0, opts)
+		res, err := c.sys.Run(c.r0, opts)
 		if err != nil {
 			return nil, err
 		}
 		sp.Phase("render")
-		rep, err := sys.Report(res, req.spec.Name)
+		rep, err := c.sys.Report(res, req.spec.Name)
 		if err != nil {
 			return nil, err
 		}
 		return marshalReport(rep)
 	}
-	res, err := fault.RunPerturbed(sys, r0, req.fault, opts)
+	res, err := fault.RunPerturbed(c.sys, c.r0, req.fault, opts)
 	if err != nil {
 		return nil, err
 	}
 	sp.Phase("render")
-	rep, err := sys.Report(res.Perturbed, req.spec.Name)
+	rep, err := c.sys.Report(res.Perturbed, req.spec.Name)
 	if err != nil {
 		return nil, err
 	}
@@ -551,7 +565,11 @@ func (s *Server) serveBatchItem(ctx context.Context, raw json.RawMessage, item *
 	val, cached, err := s.solve(ctx, req, nil)
 	if err != nil {
 		*item = batchItem{Error: err.Error()}
+		var bad *buildError
 		switch {
+		case errors.As(err, &bad):
+			s.badReqs.Inc()
+			return out400
 		case errors.Is(err, errBusy):
 			s.rejected.Inc()
 			return out429
@@ -671,13 +689,18 @@ func wantsPrometheus(r *http.Request) bool {
 		strings.Contains(accept, "openmetrics")
 }
 
-// writeRunError maps a solve failure to its HTTP status — 429 for
-// backpressure, 422 for a run the model rejects (e.g. a fault run
-// whose baseline never converges), 499-style client cancellation is
-// reported as 503 since the client is gone anyway — and returns the
-// matching outcome label.
+// writeRunError maps a solve failure to its HTTP status — 400 for a
+// spec that does not build, 429 for backpressure, 422 for a run the
+// model rejects (e.g. a fault run whose baseline never converges),
+// 499-style client cancellation is reported as 503 since the client is
+// gone anyway — and returns the matching outcome label.
 func (s *Server) writeRunError(w http.ResponseWriter, err error) string {
+	var bad *buildError
 	switch {
+	case errors.As(err, &bad):
+		s.badReqs.Inc()
+		s.error(w, http.StatusBadRequest, err)
+		return out400
 	case errors.Is(err, errBusy):
 		s.rejected.Inc()
 		w.Header().Set("Retry-After", "1")

@@ -679,8 +679,10 @@ func TestServeBackendSelection(t *testing.T) {
 
 // TestIdleGatewayRejectedOnEveryBackend: a gateway no connection
 // crosses is a modelling error on either backend. Below and above the
-// fluid threshold, under every -backend choice, CanonicalKey and
-// POST /run reject it with the same message.
+// fluid threshold, under every -backend choice, POST /run rejects it
+// with the same message. CanonicalKey does not build, so it addresses
+// the document (a gateway routes it) and the replica's build rejects
+// it.
 func TestIdleGatewayRejectedOnEveryBackend(t *testing.T) {
 	const want = "scenario: topology: gateway 1 (B) carries no connections"
 	for _, count := range []int{10, 70000} {
@@ -688,8 +690,8 @@ func TestIdleGatewayRejectedOnEveryBackend(t *testing.T) {
 			"gateways": [{"name": "A", "mu": 1}, {"name": "B", "mu": 1}],
 			"connections": [{"path": ["A"], "count": %d, "law": {"eta": 0.001, "bss": 0.5}}]
 		}`, count)
-		if _, err := CanonicalKey([]byte(doc)); err == nil || err.Error() != want {
-			t.Errorf("count %d: CanonicalKey error %v, want %q", count, err, want)
+		if _, err := CanonicalKey([]byte(doc)); err != nil {
+			t.Errorf("count %d: CanonicalKey error %v, want a key", count, err)
 		}
 		for _, backend := range []string{BackendDiscrete, BackendFluid, BackendAuto} {
 			_, ts := newTestServer(t, Config{Workers: 1, Backend: backend})
