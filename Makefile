@@ -98,12 +98,15 @@ chaos:
 # cache hits, singleflight under concurrent identical requests, 429
 # backpressure, graceful-shutdown drain under in-flight load), and the
 # ffcd boot→POST×2→SIGTERM round trip — all under the race detector —
-# then 10 s each of the scenario loader's fuzz target and of the /run
-# front end's (bare and envelope bodies; status 200/400/422; every
-# cached key's body built).
+# then 10 s each of the scenario loader's fuzz target, the request
+# decoder's differential one (its fast path against encoding/json;
+# without minimizing new inputs, which on its 25 KB seeds would take
+# most of the 10 s), and the /run front end's (bare and envelope
+# bodies; status 200/400/422; every cached key's body built).
 serve-smoke:
 	$(GO) test -race -count=1 ./internal/runcache/ ./internal/serve/ ./cmd/ffcd/
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 10s ./internal/scenario/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 10s -fuzzminimizetime 0 ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz FuzzRunRequest -fuzztime 10s ./internal/serve/
 
 # bench-serve (docs/OBSERVABILITY.md): boot a local ffcd, drive the

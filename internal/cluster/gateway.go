@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -244,7 +243,6 @@ type Gateway struct {
 	brOpened     *obs.Counter
 	brHalfOpen   *obs.Counter
 	brClosed     *obs.Counter
-	healthyG     *obs.Gauge
 	latRun       map[string]*obs.Histogram
 	latBatch     map[string]*obs.Histogram
 }
@@ -304,7 +302,6 @@ func New(cfg Config) (*Gateway, error) {
 		brOpened:     reg.Counter("gateway.breaker_opened"),
 		brHalfOpen:   reg.Counter("gateway.breaker_half_open"),
 		brClosed:     reg.Counter("gateway.breaker_closed"),
-		healthyG:     reg.Gauge("gateway.healthy_replicas"),
 		latRun:       latencyFamily(reg, "run"),
 		latBatch:     latencyFamily(reg, "batch"),
 	}
@@ -339,7 +336,7 @@ func New(cfg Config) (*Gateway, error) {
 		}
 		g.replicas[i] = r
 	}
-	g.healthyG.Set(float64(len(g.replicas)))
+	reg.GaugeFunc("gateway.healthy_replicas", func() float64 { return float64(g.HealthyReplicas()) })
 
 	g.mux.HandleFunc("/run", g.handleRun)
 	g.mux.HandleFunc("/batch", g.handleBatch)
@@ -365,7 +362,6 @@ func (g *Gateway) HealthyReplicas() int {
 			n++
 		}
 	}
-	g.healthyG.Set(float64(n))
 	return n
 }
 
@@ -420,7 +416,7 @@ func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 // mid-body — is a plain 400, so bad_requests and the 413 family count
 // only what they name.
 func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, string) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
+	body, err := serve.ReadBody(w, r, g.cfg.MaxBodyBytes)
 	if err == nil {
 		return body, ""
 	}

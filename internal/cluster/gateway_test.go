@@ -741,6 +741,65 @@ func TestGatewayBodyErrorClassification(t *testing.T) {
 	}
 }
 
+// TestGatewayBodyOverCap: a body over MaxBodyBytes is a 413 on /run
+// and /batch whether its Content-Length is honest, absent (chunked) or
+// understated — the length only sizes the read buffer.
+func TestGatewayBodyOverCap(t *testing.T) {
+	r0 := okReplica(t, 0)
+	g, _, _ := newTestGateway(t, []string{r0.ts.URL}, func(cfg *Config) {
+		cfg.MaxBodyBytes = 64
+	})
+	body := strings.Repeat("x", 200)
+	for _, path := range []string{"/run", "/batch"} {
+		for _, declared := range []string{"honest", "chunked", "understated"} {
+			req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
+			switch declared {
+			case "chunked":
+				req.ContentLength = -1
+				req.TransferEncoding = []string{"chunked"}
+			case "understated":
+				req.ContentLength = 10
+			}
+			rec := httptest.NewRecorder()
+			g.Handler().ServeHTTP(rec, req)
+			if rec.Code != http.StatusRequestEntityTooLarge {
+				t.Errorf("%s, %s length: status %d, want 413", path, declared, rec.Code)
+			}
+		}
+	}
+	if r0.runs.Load() != 0 {
+		t.Fatal("gateway dispatched an oversize request")
+	}
+}
+
+// TestGatewayHealthyReplicasGaugeIsLive: gateway.healthy_replicas is
+// derived from the ejection state when scraped, so a snapshot taken
+// after an ejection or a readmission — with no /healthz request in
+// between — agrees with the per-replica gauges.
+func TestGatewayHealthyReplicasGaugeIsLive(t *testing.T) {
+	g, _, _ := newTestGateway(t, []string{"http://r0.invalid", "http://r1.invalid", "http://r2.invalid"}, nil)
+	check := func(want float64) {
+		t.Helper()
+		snap := g.Snapshot()
+		sum := 0.0
+		for i := range g.replicas {
+			sum += snap["gateway.replica."+strconv.Itoa(i)+".healthy"].(float64)
+		}
+		if got := snap["gateway.healthy_replicas"].(float64); got != want || got != sum {
+			t.Fatalf("gateway.healthy_replicas = %v, per-replica sum %v, want %v", got, sum, want)
+		}
+	}
+	check(3)
+	for i := 0; i < g.cfg.EjectAfter; i++ {
+		g.observeHealth(g.replicas[1], false)
+	}
+	check(2)
+	for i := 0; i < g.cfg.ReadmitAfter; i++ {
+		g.observeHealth(g.replicas[1], true)
+	}
+	check(3)
+}
+
 func TestGatewayProbesConcurrently(t *testing.T) {
 	// Two replicas whose /healthz handlers each wait for the other's
 	// probe to arrive before answering: only concurrent probing within

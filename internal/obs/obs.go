@@ -84,6 +84,22 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
+// gaugeFunc is a gauge derived from live state: Snapshot reports its
+// value at the time of the call.
+type gaugeFunc func() float64
+
+// GaugeFunc binds name to a gauge whose value is f(), evaluated at each
+// Snapshot, outside the registry's lock. It suits an aggregate of
+// state that lives elsewhere, which no event site then has to keep in
+// step. It panics if the name is already bound.
+func (r *Registry) GaugeFunc(name string, f func() float64) {
+	bound := false
+	r.lookup(name, func() interface{} { bound = true; return gaugeFunc(f) })
+	if !bound {
+		panic("obs: " + name + " is already bound")
+	}
+}
+
 // Histogram returns the histogram with the given name, creating it
 // with the given bucket layout on first use. It panics if the name is
 // already bound to a different instrument kind.
@@ -109,8 +125,9 @@ func (r *Registry) lookup(name string, mk func() interface{}) interface{} {
 
 // Snapshot returns the current value of every instrument keyed by
 // name, in a form that encoding/json can marshal: int64 for counters,
-// float64 for gauges, HistogramSnapshot for histograms. The map is
-// freshly allocated; mutating it does not affect the registry.
+// float64 for gauges (a GaugeFunc evaluated at the call),
+// HistogramSnapshot for histograms. The map is freshly allocated;
+// mutating it does not affect the registry.
 func (r *Registry) Snapshot() map[string]interface{} {
 	r.mu.Lock()
 	names := append([]string(nil), r.names...)
@@ -127,6 +144,8 @@ func (r *Registry) Snapshot() map[string]interface{} {
 			out[name] = v.Value()
 		case *Gauge:
 			out[name] = v.Value()
+		case gaugeFunc:
+			out[name] = v()
 		case *Histogram:
 			out[name] = v.Snapshot()
 		}

@@ -89,3 +89,22 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 	}()
 	r.Gauge("x")
 }
+
+func TestGaugeFunc(t *testing.T) {
+	r := NewRegistry()
+	live := 2.0
+	r.GaugeFunc("live", func() float64 { return live })
+	if got := r.Snapshot()["live"].(float64); got != 2 {
+		t.Fatalf("snapshot live = %v, want 2", got)
+	}
+	live = 5
+	if got := r.Snapshot()["live"].(float64); got != 5 {
+		t.Fatalf("snapshot live = %v after the state moved, want 5", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("rebinding a GaugeFunc name did not panic")
+		}
+	}()
+	r.GaugeFunc("live", func() float64 { return 0 })
+}

@@ -56,15 +56,19 @@ var canonBufs = sync.Pool{New: func() any { return new([]byte) }}
 // unknown fields and trailing data are errors, and a body that is not
 // one JSON document is rejected with json.Unmarshal's wording.
 //
-// A bare scenario, the common form, costs one strict decode straight
-// into the Spec. Only a body that decode rejects is examined further,
-// as the envelope form or for the error to report.
+// A body in the common spelling (see decodeFast) — either form —
+// costs one hand-written pass straight into the Spec. Any other body
+// takes the encoding/json path, decodeRequest, which defines the
+// result and owns every error text.
 //
 //ffc:taint sanitizer
 func DecodeRequest(body []byte) (*Validated, error) {
-	spec, fault, err := decodeRequest(body)
-	if err != nil {
-		return nil, err
+	spec, fault, ok := decodeFast(body)
+	var err error
+	if !ok {
+		if spec, fault, err = decodeRequest(body); err != nil {
+			return nil, err
+		}
 	}
 	buf := canonBufs.Get().(*[]byte)
 	defer canonBufs.Put(buf)
@@ -75,7 +79,8 @@ func DecodeRequest(body []byte) (*Validated, error) {
 	return &Validated{spec: spec, fault: fault, canon: bytes.Clone(*buf)}, nil
 }
 
-// decodeRequest is DecodeRequest's decoding half.
+// decodeRequest is DecodeRequest's reference decoder: the
+// encoding/json path every body the fast path declines takes.
 func decodeRequest(body []byte) (*Spec, string, error) {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
