@@ -101,13 +101,17 @@ chaos:
 # then 10 s each of the scenario loader's fuzz target, the request
 # decoder's differential one (its fast path against encoding/json;
 # without minimizing new inputs, which on its 25 KB seeds would take
-# most of the 10 s), and the /run front end's (bare and envelope
-# bodies; status 200/400/422; every cached key's body built).
+# most of the 10 s), the /run front end's (bare and envelope bodies;
+# status 200/400/422; every cached key's body built), and the report
+# writer's differential one (obs.RunReport.AppendJSON against
+# json.MarshalIndent; unminimized for the same reason: its seeds are
+# 7–47 KB solved reports).
 serve-smoke:
 	$(GO) test -race -count=1 ./internal/runcache/ ./internal/serve/ ./cmd/ffcd/
 	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 10s ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 10s -fuzzminimizetime 0 ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz FuzzRunRequest -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz FuzzRunReportJSON -fuzztime 10s -fuzzminimizetime 0 ./internal/obs/
 
 # bench-serve (docs/OBSERVABILITY.md): boot a local ffcd, drive the
 # documented open-loop ramp with ffload, and write the versioned

@@ -226,7 +226,7 @@ func runFluid(spec *ff.Scenario, ofl obsFlags) error {
 		if err != nil {
 			return fmt.Errorf("metrics: %w", err)
 		}
-		return cli.WriteJSON(ofl.metricsJSON, rep)
+		return cli.WriteReport(ofl.metricsJSON, rep)
 	}
 	if !res.Converged {
 		fmt.Printf("did NOT converge after %d steps; last class rates: %s\n",
@@ -292,7 +292,7 @@ func runFaulted(sys *ff.System, r0 []float64, opt ff.RunOptions, scenario string
 			return fmt.Errorf("metrics: %w", err)
 		}
 		res.Attach(report)
-		if err := cli.WriteJSON(ofl.metricsJSON, report); err != nil {
+		if err := cli.WriteReport(ofl.metricsJSON, report); err != nil {
 			return fmt.Errorf("metrics: %w", err)
 		}
 	}
@@ -400,7 +400,7 @@ func writeMetrics(sys *ff.System, res *ff.RunResult, scenario, path string) erro
 	if err != nil {
 		return err
 	}
-	return cli.WriteJSON(path, report)
+	return cli.WriteReport(path, report)
 }
 
 func buildTopology(kind string, n, hops int, mu, latency float64) (*ff.Network, error) {

@@ -214,7 +214,7 @@ func TestRunFaultedMetricsJSON(t *testing.T) {
 	}
 	res.Attach(report)
 	path := filepath.Join(t.TempDir(), "faulted.json")
-	if err := cli.WriteJSON(path, report); err != nil {
+	if err := cli.WriteReport(path, report); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

@@ -12,6 +12,8 @@ import (
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the default mux
 	"os"
+
+	"github.com/nettheory/feedbackflow/internal/obs"
 )
 
 // exit is swapped out by tests.
@@ -59,6 +61,18 @@ func WriteJSON(path string, v interface{}) error {
 		return err
 	}
 	return f.Close()
+}
+
+// WriteReport writes a run report to path, with "-" meaning stdout:
+// rep.AppendJSON's bytes and a newline, the same bytes ffcd's /run
+// serves for the same run (modulo wall_ns).
+func WriteReport(path string, rep *obs.RunReport) error {
+	b := append(rep.AppendJSON(nil), '\n')
+	if path == "-" {
+		_, err := os.Stdout.Write(b)
+		return err
+	}
+	return os.WriteFile(path, b, 0o666)
 }
 
 // StartDebugServer serves the default HTTP mux — which carries

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/nettheory/feedbackflow/internal/obs"
+	"github.com/nettheory/feedbackflow/internal/serve"
 )
 
 // upstream is one attempt's outcome: either a transport error or the
@@ -201,7 +202,7 @@ func (g *Gateway) forward(ctx context.Context, r *replica, path string, body []b
 			u.cache = resp.Header.Get("X-FFCD-Cache")
 			u.trace = resp.Header.Get("X-FFCD-Trace-ID")
 			u.retryAfter = resp.Header.Get("Retry-After")
-			u.body, u.err = readCapped(resp.Body, g.cfg.MaxResponseBytes)
+			u.body, u.err = readCapped(resp.Body, resp.ContentLength, g.cfg.MaxResponseBytes)
 			resp.Body.Close()
 		}
 	}
@@ -214,14 +215,17 @@ func (g *Gateway) forward(ctx context.Context, r *replica, path string, body []b
 
 // readCapped reads a response body up to max bytes, erroring — rather
 // than truncating or reading without bound — when the body exceeds
-// the cap. Reading to EOF on the happy path is also what hands the
-// connection back to the transport for reuse; over the cap the Close
-// that follows severs the connection instead, which is the right
-// outcome for a replica streaming garbage. Every response path —
-// winners, retried non-2xx answers, hedge losers — funnels through
-// this, so no forward goroutine can be pinned by an unbounded stream.
-func readCapped(body io.Reader, max int64) ([]byte, error) {
-	b, err := io.ReadAll(io.LimitReader(body, max+1))
+// the cap. A Content-Length (declared; -1 for none) sizes the buffer
+// as serve.ReadSized does, so a replica's report is read into one
+// allocation; it is only a hint, and the cap binds whatever it says.
+// Reading to EOF on the happy path is also what hands the connection
+// back to the transport for reuse; over the cap the Close that follows
+// severs the connection instead, which is the right outcome for a
+// replica streaming garbage. Every response path — winners, retried
+// non-2xx answers, hedge losers — funnels through this, so no forward
+// goroutine can be pinned by an unbounded stream.
+func readCapped(body io.Reader, declared, max int64) ([]byte, error) {
+	b, err := serve.ReadSized(io.LimitReader(body, max+1), declared, max)
 	if err != nil {
 		return nil, err
 	}

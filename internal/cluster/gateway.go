@@ -477,6 +477,7 @@ func (g *Gateway) serveRun(w http.ResponseWriter, r *http.Request, sp *obs.Span)
 	// Proxy the replica's answer verbatim — headers the clients key on
 	// (cache verdict, trace identity) included — plus which replica
 	// served it, for the pool-level observability story.
+	w.Header().Set("Content-Length", strconv.Itoa(len(u.body)))
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-FFCD-Replica", strconv.Itoa(u.replica))
 	if u.cache != "" {

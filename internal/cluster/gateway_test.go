@@ -956,3 +956,53 @@ func TestProbeDrainIsBounded(t *testing.T) {
 		t.Fatalf("gateway.probe_fails = %d; oversized-but-200 probe should count healthy", got)
 	}
 }
+
+// TestGatewayProxiesContentLength: a replica's answer is re-sent with
+// its length, so a report over net/http's 2 KiB buffer reaches the
+// client unchunked even when the replica chunked it.
+func TestGatewayProxiesContentLength(t *testing.T) {
+	report := strings.Repeat("r", 8<<10)
+	r0 := newStubReplica(t, func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		w.Header().Set("X-FFCD-Cache", "miss")
+		io.WriteString(w, report) // no Content-Length: chunked
+	})
+	_, ts, _ := newTestGateway(t, []string{r0.ts.URL}, nil)
+	resp, body := post(t, ts.URL+"/run", string(loadgen.Corpus(1)[0]))
+	if resp.StatusCode != http.StatusOK || string(body) != report {
+		t.Fatalf("proxied answer: %d, %d bytes", resp.StatusCode, len(body))
+	}
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+		t.Errorf("Content-Length %d, Transfer-Encoding %v for a %d-byte body",
+			resp.ContentLength, resp.TransferEncoding, len(body))
+	}
+}
+
+// TestReadCapped: the declared length only sizes the buffer. Whatever
+// a replica declares — honestly, nothing, too little or too much — the
+// body is read whole and the cap binds; an honest length within 64 KiB
+// reads in one buffer allocation.
+func TestReadCapped(t *testing.T) {
+	const max = 48 << 10
+	body := strings.Repeat("b", 40<<10)
+	n := int64(len(body))
+	for _, declared := range []int64{n, -1, 10, 2 * n} {
+		got, err := readCapped(strings.NewReader(body), declared, max)
+		if err != nil || string(got) != body {
+			t.Errorf("declared %d: %d bytes, %v", declared, len(got), err)
+		}
+		over := strings.Repeat("o", max+1)
+		if _, err := readCapped(strings.NewReader(over), declared, max); err == nil || !strings.Contains(err.Error(), "exceeds") {
+			t.Errorf("declared %d: over-cap body gave %v", declared, err)
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := readCapped(strings.NewReader(body), n, max); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The string reader, the limit reader and the buffer.
+	if allocs > 3 {
+		t.Errorf("honest %d-byte read: %v allocations, want at most 3", n, allocs)
+	}
+}

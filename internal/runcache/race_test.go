@@ -3,6 +3,7 @@ package runcache
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,7 +16,9 @@ import (
 // continuously against singleflight admission. Run under -race, it
 // checks that the accounting survives the churn:
 //
-//   - entries/bytes gauges agree with the cache's actual state;
+//   - entries/bytes gauges agree with the cache's actual state, and
+//     scrapes racing the churn see both bounds and the in-flight
+//     bound hold;
 //   - both LRU bounds hold at every quiescent point;
 //   - every Do is classified exactly once (hits + misses + dedup
 //     waits == calls), and every miss ran the solver exactly once
@@ -70,7 +73,34 @@ func TestEvictionRacesSingleflight(t *testing.T) {
 			}
 		}(g)
 	}
+	// The gauges are read from the cache under its lock when scraped,
+	// so a scrape racing the churn sees a state between two operations.
+	stop := make(chan struct{})
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			snap := c.Snapshot()
+			if e := snap["runcache.entries"].(float64); e > maxEntries {
+				t.Errorf("scrape: entries %v exceed bound %d", e, maxEntries)
+			}
+			if b := snap["runcache.bytes"].(float64); b > maxBytes {
+				t.Errorf("scrape: bytes %v exceed bound %d", b, maxBytes)
+			}
+			if f := snap["runcache.inflight"].(float64); f > goroutines {
+				t.Errorf("scrape: %v solves in flight from %d goroutines", f, goroutines)
+			}
+			runtime.Gosched()
+		}
+	}()
 	wg.Wait()
+	close(stop)
+	<-scraped
 
 	// Quiescent invariants: bounds hold and the gauges the /metrics
 	// endpoint exports agree with the cache's ground truth.

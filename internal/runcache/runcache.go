@@ -93,9 +93,6 @@ type Cache struct {
 	evictions *obs.Counter
 	oversize  *obs.Counter
 	errors    *obs.Counter
-	entriesG  *obs.Gauge
-	bytesG    *obs.Gauge
-	inflightG *obs.Gauge
 }
 
 // New returns a cache bounded to maxEntries entries and maxBytes total
@@ -104,7 +101,7 @@ type Cache struct {
 // entire working set for one entry).
 func New(maxEntries int, maxBytes int64) *Cache {
 	reg := obs.NewRegistry()
-	return &Cache{
+	c := &Cache{
 		maxEntries: maxEntries,
 		maxBytes:   maxBytes,
 		ll:         list.New(),
@@ -117,10 +114,17 @@ func New(maxEntries int, maxBytes int64) *Cache {
 		evictions:  reg.Counter("runcache.evictions"),
 		oversize:   reg.Counter("runcache.oversize"),
 		errors:     reg.Counter("runcache.errors"),
-		entriesG:   reg.Gauge("runcache.entries"),
-		bytesG:     reg.Gauge("runcache.bytes"),
-		inflightG:  reg.Gauge("runcache.inflight"),
 	}
+	// The occupancy gauges read the cache's state under its lock when
+	// scraped, so they cannot go stale between inserts.
+	reg.GaugeFunc("runcache.entries", func() float64 { return float64(c.Len()) })
+	reg.GaugeFunc("runcache.bytes", func() float64 { return float64(c.Bytes()) })
+	reg.GaugeFunc("runcache.inflight", func() float64 {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return float64(len(c.inflight))
+	})
+	return c
 }
 
 // Snapshot returns the cache telemetry keyed by instrument name, in
@@ -176,14 +180,12 @@ func (c *Cache) Do(ctx context.Context, key Key, solve func() ([]byte, error)) (
 	c.misses.Inc()
 	cl := &call{done: make(chan struct{})}
 	c.inflight[key] = cl
-	c.inflightG.Set(float64(len(c.inflight)))
 	c.mu.Unlock()
 
 	cl.val, cl.err = solve()
 
 	c.mu.Lock()
 	delete(c.inflight, key)
-	c.inflightG.Set(float64(len(c.inflight)))
 	if cl.err == nil {
 		c.add(key, cl.val)
 	} else {
@@ -239,6 +241,4 @@ func (c *Cache) add(key Key, val []byte) {
 		c.bytes -= int64(len(e.val))
 		c.evictions.Inc()
 	}
-	c.entriesG.Set(float64(len(c.entries)))
-	c.bytesG.Set(float64(c.bytes))
 }

@@ -2,9 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"sync"
 	"testing"
 
 	"github.com/nettheory/feedbackflow/internal/fluid"
+	"github.com/nettheory/feedbackflow/internal/obs"
 	"github.com/nettheory/feedbackflow/internal/scenario/scenariotest"
 )
 
@@ -35,5 +39,56 @@ func BenchmarkParseRunRequest(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// heteroReports solves the scenariotest.Hetero(16) documents to
+// convergence once per process (seconds of work, which the benchmark
+// framework would otherwise repeat for every b.N it tries), checking
+// that each report renders to json.MarshalIndent's bytes.
+var heteroReports = sync.OnceValues(func() ([]*obs.RunReport, error) {
+	var reps []*obs.RunReport
+	for _, doc := range scenariotest.Hetero(16) {
+		req, err := parseRunRequest(doc, nil, BackendAuto, fluid.DefaultThreshold)
+		if err != nil {
+			return nil, err
+		}
+		c, err := req.build()
+		if err != nil {
+			return nil, err
+		}
+		res, err := c.sys.Run(c.r0, req.spec.RunOptions())
+		if err != nil {
+			return nil, err
+		}
+		rep, err := c.sys.Report(res, req.spec.Name)
+		if err != nil {
+			return nil, err
+		}
+		want, err := json.MarshalIndent(rep, "", "  ")
+		if err != nil {
+			return nil, err
+		}
+		if !bytes.Equal(renderReport(rep), append(want, '\n')) {
+			return nil, fmt.Errorf("%s: rendered report differs from json.MarshalIndent", req.spec.Name)
+		}
+		reps = append(reps, rep)
+	}
+	return reps, nil
+})
+
+var renderSink []byte
+
+// BenchmarkRenderReport measures the render phase of a discrete miss:
+// a solved 64–512-connection report to the bytes the cache keeps.
+func BenchmarkRenderReport(b *testing.B) {
+	reps, err := heteroReports()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		renderSink = renderReport(reps[i%len(reps)])
 	}
 }

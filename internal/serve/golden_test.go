@@ -89,11 +89,7 @@ func goldenRender(t *testing.T, sp *scenario.Spec, backend string) []byte {
 		}
 	}
 	rep.WallNS = 0
-	body, err := marshalReport(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return body
+	return renderReport(rep)
 }
 
 // TestReportGolden compares every corner's report digest against the

@@ -37,6 +37,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -46,7 +47,9 @@ import (
 	"net"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -181,8 +184,6 @@ type Server struct {
 	badReqs   *obs.Counter
 	runErrors *obs.Counter
 	batchRuns *obs.Counter
-	inflightG *obs.Gauge
-	inflight  func() int64
 
 	// Request-level observability: optional spans (nil tracer = off),
 	// per-endpoint × per-outcome latency histograms, and a queue-depth
@@ -217,14 +218,15 @@ func New(cfg Config) *Server {
 		badReqs:   reg.Counter("serve.bad_requests"),
 		runErrors: reg.Counter("serve.run_errors"),
 		batchRuns: reg.Counter("serve.batch_runs"),
-		inflightG: reg.Gauge("serve.queue_occupancy"),
 
 		tracer:      cfg.Tracer,
 		latRun:      latencyFamily(reg, "run"),
 		latBatch:    latencyFamily(reg, "batch"),
 		queueDepthG: reg.Gauge("serve.queue_depth"),
 	}
-	s.inflight = func() int64 { return int64(len(s.queue)) }
+	// Occupancy is read from the admission queue when scraped, so it
+	// falls back to 0 as a burst drains.
+	reg.GaugeFunc("serve.queue_occupancy", func() float64 { return float64(len(s.queue)) })
 	s.mux.HandleFunc("/run", s.handleRun)
 	s.mux.HandleFunc("/batch", s.handleBatch)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -303,7 +305,6 @@ func (s *Server) solve(ctx context.Context, req *runRequest, sp *obs.Span) (body
 			return nil, errBusy
 		}
 		defer func() { <-s.queue }()
-		s.inflightG.Set(float64(len(s.queue)))
 
 		select {
 		case s.slots <- struct{}{}:
@@ -356,7 +357,7 @@ func renderRun(req *runRequest, c *compiled, sp *obs.Span) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return marshalReport(rep)
+		return renderReport(rep), nil
 	}
 	if !req.fault.Enabled() {
 		res, err := c.sys.Run(c.r0, opts)
@@ -368,7 +369,7 @@ func renderRun(req *runRequest, c *compiled, sp *obs.Span) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return marshalReport(rep)
+		return renderReport(rep), nil
 	}
 	res, err := fault.RunPerturbed(c.sys, c.r0, req.fault, opts)
 	if err != nil {
@@ -380,15 +381,31 @@ func renderRun(req *runRequest, c *compiled, sp *obs.Span) ([]byte, error) {
 		return nil, err
 	}
 	res.Attach(rep)
-	return marshalReport(rep)
+	return renderReport(rep), nil
 }
 
-func marshalReport(rep interface{}) ([]byte, error) {
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
+// renderBufs recycles the scratch renderReport encodes into. A report
+// takes 16 to 30 bytes per float, too uneven to size up front, so it
+// grows a reused buffer and the cache keeps an exact-size copy: the
+// cache bounds the bytes of its values, not their spare capacity.
+var renderBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledRender bounds the scratch kept for reuse, so one huge
+// report (tens of MB at 10⁶ connections) is not pinned after its miss.
+const maxPooledRender = 1 << 20
+
+// renderReport renders rep as /run serves it and the cache keeps it:
+// its JSON (obs.RunReport.AppendJSON, byte for byte json.MarshalIndent
+// with a two-space indent) and a trailing newline.
+func renderReport(rep *obs.RunReport) []byte {
+	bp := renderBufs.Get().(*[]byte)
+	buf := append(rep.AppendJSON((*bp)[:0]), '\n')
+	out := bytes.Clone(buf)
+	if cap(buf) <= maxPooledRender {
+		*bp = buf
+		renderBufs.Put(bp)
 	}
-	return append(b, '\n'), nil
+	return out
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -425,25 +442,32 @@ func (s *Server) startSpan(w http.ResponseWriter, r *http.Request, name string) 
 	return sp
 }
 
-// maxPresize bounds the buffer ReadBody allocates on a client's word
-// alone, before any body bytes arrive. A typical scenario document
-// (25 KB) fits; a longer body grows the buffer as its bytes arrive.
+// maxPresize bounds the buffer ReadSized allocates on a sender's word
+// alone, before any bytes arrive. A typical scenario document (25 KB)
+// or rendered report (7–47 KB) fits; a longer body grows the buffer as
+// its bytes arrive.
 const maxPresize = 64 << 10
 
 // ReadBody reads r's body capped at limit bytes by
 // http.MaxBytesReader, whose *http.MaxBytesError marks an oversize
-// body. A Content-Length within the cap sizes the buffer up front, up
-// to maxPresize, so a typical honest body is read into one allocation
-// instead of io.ReadAll's doublings from 512 B. The length is only a
-// hint: the body is read to EOF whatever it declares, so an
-// understated length still meets the cap, and a connection that
-// declares a large body and sends nothing holds at most maxPresize.
+// body, into a buffer sized from its Content-Length (see ReadSized).
 func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	return ReadSized(http.MaxBytesReader(w, r.Body, limit), r.ContentLength, limit)
+}
+
+// ReadSized reads body to EOF. A declared length (a Content-Length; -1
+// for none) within limit sizes the buffer up front, up to maxPresize,
+// so a typical honest body is read into one allocation instead of
+// io.ReadAll's doublings from 512 B. The length is only a hint: the
+// body is read to EOF whatever it declares, so an understated length
+// still meets whatever cap body enforces, and a sender that declares a
+// large body and sends nothing holds at most maxPresize. On a read
+// error it returns the bytes read so far with the error.
+func ReadSized(body io.Reader, declared, limit int64) ([]byte, error) {
 	size := int64(512)
-	if n := r.ContentLength; n >= 0 && n <= limit {
-		size = min(n+1, maxPresize) // n+1: room for the read that reports EOF
+	if declared >= 0 && declared <= limit {
+		size = min(declared+1, maxPresize) // +1: room for the read that reports EOF
 	}
-	body := http.MaxBytesReader(w, r.Body, limit)
 	b := make([]byte, 0, size)
 	for {
 		n, err := body.Read(b[len(b):cap(b)])
@@ -488,6 +512,9 @@ func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, sp *obs.Span) 
 	} else {
 		s.misses.Inc()
 	}
+	// An explicit length keeps net/http from chunking a body over 2 KiB,
+	// and lets a client (an ffcgw) size its read buffer.
+	w.Header().Set("Content-Length", strconv.Itoa(len(val)))
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-FFCD-Cache", cacheHeader(cached))
 	w.Header().Set("X-FFCD-Backend", req.backend)
@@ -650,7 +677,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(code)
 	}
 	fmt.Fprintf(w, "{\"status\":%q,\"queue_occupancy\":%d,\"queue_capacity\":%d,\"uptime_ns\":%d}\n",
-		status, s.inflight(), cap(s.queue), time.Since(s.start).Nanoseconds())
+		status, len(s.queue), cap(s.queue), time.Since(s.start).Nanoseconds())
 }
 
 // handleMetrics serves the server's registries in one of two forms,

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"github.com/nettheory/feedbackflow/internal/obs"
+	"github.com/nettheory/feedbackflow/internal/scenario/scenariotest"
 )
 
 const testScenario = `{
@@ -703,5 +704,84 @@ func TestIdleGatewayRejectedOnEveryBackend(t *testing.T) {
 				t.Errorf("count %d, backend %s: %d %s, want 400 %q", count, backend, resp.StatusCode, body, want)
 			}
 		}
+	}
+}
+
+// TestServeRunContentLength: /run answers carry their length, miss and
+// hit alike, so a report over net/http's 2 KiB buffer is not chunked.
+func TestServeRunContentLength(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	doc := string(scenariotest.Hetero(1)[0])
+	for _, want := range []string{"miss", "hit"} {
+		resp, body := post(t, ts.URL+"/run", doc)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-FFCD-Cache") != want {
+			t.Fatalf("%s: %d %s %s", want, resp.StatusCode, resp.Header.Get("X-FFCD-Cache"), body)
+		}
+		if len(body) <= 2048 {
+			t.Fatalf("report of %d bytes does not exercise chunking", len(body))
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d, Transfer-Encoding %v for a %d-byte body",
+				want, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+	}
+}
+
+// TestOccupancyGaugesDrainToZero: the occupancy gauges are read from
+// live state when scraped, so they count a burst of concurrent misses
+// while it runs and read 0 once it has drained, with no event site
+// left to update them.
+func TestOccupancyGaugesDrainToZero(t *testing.T) {
+	const n = 4
+	s, ts := newTestServer(t, Config{Workers: n, Queue: n})
+	var admitted sync.WaitGroup
+	admitted.Add(n)
+	release := make(chan struct{})
+	s.testHookSolve = func() {
+		admitted.Done()
+		<-release
+	}
+	check := func(occupancy, inflight float64) {
+		t.Helper()
+		if got := s.Snapshot()["serve.queue_occupancy"].(float64); got != occupancy {
+			t.Errorf("serve.queue_occupancy = %v, want %v", got, occupancy)
+		}
+		snap := s.CacheSnapshot()
+		if got := snap["runcache.inflight"].(float64); got != inflight {
+			t.Errorf("runcache.inflight = %v, want %v", got, inflight)
+		}
+		if got, want := snap["runcache.entries"].(float64), float64(s.cache.Len()); got != want {
+			t.Errorf("runcache.entries = %v, Len() %v", got, want)
+		}
+		if got, want := snap["runcache.bytes"].(float64), float64(s.cache.Bytes()); got != want {
+			t.Errorf("runcache.bytes = %v, Bytes() %v", got, want)
+		}
+	}
+
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			doc := fmt.Sprintf(`{"name":"s%d","gateways":[{"name":"G","mu":1}],"connections":[{"path":["G"],"law":{"eta":0.1,"bss":0.5}}]}`, i)
+			resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(doc))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("miss %d: status %d", i, resp.StatusCode)
+			}
+		}(i)
+	}
+	admitted.Wait()
+	check(n, n)
+	close(release)
+	wg.Wait()
+	check(0, 0)
+	if got := s.cache.Len(); got != n {
+		t.Errorf("cache holds %d entries after %d misses", got, n)
 	}
 }
