@@ -15,7 +15,7 @@ STATICCHECK_VERSION := 2024.1.1
 
 GO ?= go
 
-.PHONY: all build test race lint vet ffcvet staticcheck fmt bench bench-kernel bench-fluid chaos serve-smoke bench-serve cluster-smoke bench-cluster clean
+.PHONY: all build test race lint vet ffcvet staticcheck fmt bench bench-check bench-kernel bench-fluid chaos serve-smoke bench-serve cluster-smoke bench-cluster clean
 
 all: build test
 
@@ -55,6 +55,22 @@ fmt:
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime=1x -benchmem ./...
+
+# bench-check (ffbench/README.md): one short repository-benchmark run
+# per workload, failing unless every summary line reads correct with
+# no failed request. Run it before proposing a change. It is kept out
+# of CI on purpose: a single hedged request on a loaded shared runner
+# fails a pool-churn run.
+BENCH_CHECK_WORKLOADS ?= solve-hetero serve-hot pool-churn
+bench-check:
+	@for w in $(BENCH_CHECK_WORKLOADS); do \
+		out=$$(bash ffbench/run.sh --workload $$w --seed 1 --seconds 8 --trace 0) || exit 1; \
+		if printf '%s\n' "$$out" | tail -n 1 | grep -Eq '^\{"correct":true,"attempted":[0-9]+,"failed":0,'; then \
+			echo "bench-check: $$w ok"; \
+		else \
+			printf '%s\n' "$$out"; echo "bench-check: $$w failed its checks" >&2; exit 1; \
+		fi; \
+	done
 
 # bench-kernel (docs/PERFORMANCE.md): re-run the core micro-benchmarks
 # — the prefix-sum kernel sweeps and the BenchmarkRun size ladder up to

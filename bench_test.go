@@ -8,11 +8,13 @@
 package feedbackflow_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	ff "github.com/nettheory/feedbackflow"
+	"github.com/nettheory/feedbackflow/internal/scenario/scenariotest"
 )
 
 // benchExperiment runs one registered experiment per iteration and
@@ -312,6 +314,44 @@ func benchRun(b *testing.B, n int) {
 func BenchmarkRun(b *testing.B) {
 	for _, n := range []int{4, 64, 512, 4096, 65536, 262144} {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) { benchRun(b, n) })
+	}
+}
+
+// BenchmarkRunPopulation measures a discrete miss on the homogeneous
+// populations ffbench's pool workload sends — Build, Run to steady
+// state and Report of a document of count=N classes of identical
+// sources under aggregate feedback — at 32, 352 and 10⁵ connections.
+// Run iterates each class as one weighted slot, so the cost left
+// grows with N only through Build and the connection-indexed answer.
+func BenchmarkRunPopulation(b *testing.B) {
+	for _, counts := range [][]int64{{16, 16}, {256, 64, 32}, {60000, 40000}} {
+		n := int64(0)
+		for _, c := range counts {
+			n += c
+		}
+		spec, err := ff.LoadScenario(bytes.NewReader(scenariotest.Pool(1, counts...)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sys, r0, err := spec.Build()
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := sys.Run(r0, spec.RunOptions())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.Converged {
+					b.Fatal("did not converge")
+				}
+				if _, err := sys.Report(res, spec.Name); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -85,10 +85,55 @@ func inProcessReport(t *testing.T, doc []byte, faultSpec string) []byte {
 	return append(rep.AppendJSON(nil), '\n')
 }
 
+// ffcReport runs ffc's -config path on cfgPath and returns the
+// -metrics-json file. With trace set, the per-step TSV trace goes to a
+// file in dir instead of stderr.
+func ffcReport(t *testing.T, dir, cfgPath string, cfg ff.FaultConfig, trace bool) []byte {
+	t.Helper()
+	out := cfgPath + ".report.json"
+	ofl := obsFlags{metricsJSON: out, traceEvery: 1}
+	if trace {
+		ofl.trace = true
+		f, err := os.Create(filepath.Join(dir, "trace.tsv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		stderr := os.Stderr
+		os.Stderr = f
+		defer func() { os.Stderr = stderr }()
+	}
+	if err := runConfig(cfgPath, ofl, cfg, "auto"); err != nil {
+		t.Fatal(err)
+	}
+	body, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// post sends body to url and returns the 200 answer's body.
+func post(t *testing.T, url string, body []byte) []byte {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s: %d %v %s", url, resp.StatusCode, err, data)
+	}
+	return data
+}
+
 // TestOneAnswerAcrossEntryPoints: for every seed scenario file, a
-// population the fluid backend solves and one -fault run, ffc
-// -metrics-json's file, ffcd /run's body and the in-process report are
-// the same bytes, modulo wall_ns.
+// population the fluid backend solves, a discrete count=N population
+// and one -fault run, ffc -metrics-json's file (with and without
+// -trace), ffcd /run's body, a /batch item's report and the in-process
+// report are the same bytes, modulo wall_ns. The /batch server is
+// separate, so its item is solved, not read from /run's cache.
 func TestOneAnswerAcrossEntryPoints(t *testing.T) {
 	type run struct {
 		name  string
@@ -101,10 +146,13 @@ func TestOneAnswerAcrossEntryPoints(t *testing.T) {
 	}
 	runs = append(runs,
 		run{name: "fluid-population", doc: []byte(populationDoc)},
+		run{name: "discrete-population", doc: scenariotest.PopulationDoc},
 		run{name: "two-bottleneck-fault", doc: scenariotest.Files(t)[1].Body, fault: "seed=3,loss=0.5@50-120,outage=0@150-170"})
 
 	ts := httptest.NewServer(serve.New(serve.Config{Workers: 1}).Handler())
 	defer ts.Close()
+	batchTS := httptest.NewServer(serve.New(serve.Config{Workers: 1}).Handler())
+	defer batchTS.Close()
 	dir := t.TempDir()
 	for _, r := range runs {
 		t.Run(r.name, func(t *testing.T) {
@@ -116,37 +164,58 @@ func TestOneAnswerAcrossEntryPoints(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out := filepath.Join(dir, r.name+".report.json")
-			if err := runConfig(cfgPath, obsFlags{metricsJSON: out, traceEvery: 1}, cfg, "auto"); err != nil {
-				t.Fatal(err)
-			}
-			fromFFC, err := os.ReadFile(out)
-			if err != nil {
-				t.Fatal(err)
-			}
-
 			body := r.doc
 			if r.fault != "" {
 				if body, err = json.Marshal(map[string]interface{}{"scenario": json.RawMessage(r.doc), "fault": r.fault}); err != nil {
 					t.Fatal(err)
 				}
 			}
-			resp, err := http.Post(ts.URL+"/run", "application/json", bytes.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
+			var batch struct {
+				Results []struct {
+					Report json.RawMessage `json:"report"`
+				} `json:"results"`
 			}
-			fromFFCD, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil || resp.StatusCode != http.StatusOK {
-				t.Fatalf("/run: %d %v %s", resp.StatusCode, err, fromFFCD)
+			if err := json.Unmarshal(post(t, batchTS.URL+"/batch", []byte(`{"runs": [`+string(body)+`]}`)), &batch); err != nil || len(batch.Results) != 1 {
+				t.Fatalf("/batch: %v, %d items", err, len(batch.Results))
 			}
-
 			want := wallNS.ReplaceAll(inProcessReport(t, r.doc, r.fault), []byte(`"wall_ns": 0`))
-			for name, got := range map[string][]byte{"ffc -metrics-json": fromFFC, "ffcd /run": fromFFCD} {
-				if got = wallNS.ReplaceAll(got, []byte(`"wall_ns": 0`)); !bytes.Equal(got, want) {
-					t.Errorf("%s differs from the in-process report:\n%s\nwant\n%s", name, got, want)
+			for name, got := range map[string][]byte{
+				"ffc -metrics-json":        ffcReport(t, dir, cfgPath, cfg, false),
+				"ffc -metrics-json -trace": ffcReport(t, dir, cfgPath, cfg, true),
+				"ffcd /run":                post(t, ts.URL+"/run", body),
+				"ffcd /batch item":         batch.Results[0].Report,
+			} {
+				got, w := wallNS.ReplaceAll(got, []byte(`"wall_ns": 0`)), want
+				if name == "ffcd /batch item" {
+					// The batch answer nests the report one level
+					// deeper, so its indentation differs.
+					got, w = compact(t, got), compact(t, want)
+				}
+				if !bytes.Equal(got, w) {
+					t.Errorf("%s differs from the in-process report:\n%s\nwant\n%s", name, got, w)
+				}
+			}
+			if r.name == "discrete-population" {
+				// The trace is connection-indexed even where Run
+				// iterates each count=N class once.
+				trace, err := os.ReadFile(filepath.Join(dir, "trace.tsv"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if head := "# step\tresidual\tr[192]\tb[192]\n"; !bytes.HasPrefix(trace, []byte(head)) {
+					t.Errorf("trace starts %.60q, want %q", trace, head)
 				}
 			}
 		})
 	}
+}
+
+// compact returns the JSON document b without insignificant space.
+func compact(t *testing.T, b []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.Compact(&buf, b); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

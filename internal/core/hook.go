@@ -40,6 +40,23 @@ type StepHook interface {
 	PerturbNext(step int, r, next []float64)
 }
 
+// PerConnection is a StepHook that changes nothing. Set as
+// RunOptions.Hook, it makes Run iterate every connection, where an
+// unhooked Run would solve each run of identical connections as one
+// weighted slot; the iteration is bit for bit an unhooked run's on a
+// system with no such run. It is the per-connection reference the
+// class collapse is checked against.
+type PerConnection struct{}
+
+// BeginStep implements StepHook.
+func (PerConnection) BeginStep(int, []float64) {}
+
+// PerturbObservation implements StepHook.
+func (PerConnection) PerturbObservation(int, []float64, *Observation) {}
+
+// PerturbNext implements StepHook.
+func (PerConnection) PerturbNext(int, []float64, []float64) {}
+
 // hookedStep is Workspace.stepInto with the three hook callbacks
 // spliced in. The arithmetic between the callbacks — the observation,
 // the law applications, the truncation rule, and the residual fold —

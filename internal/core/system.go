@@ -40,6 +40,9 @@ type System struct {
 	// stands for; nil means one each (every discrete system).
 	weights []float64
 	plan    plan
+	// classes, when non-nil, collapses each run of identical
+	// connections into one weighted slot for Run (see classPlan).
+	classes *classPlan
 	// pool recycles Workspaces for the transient fast paths (Step,
 	// Residual, Run); it keeps those entry points allocation-free in
 	// steady state without compromising concurrent use.
@@ -83,35 +86,35 @@ func compilePlan(net *topology.Network, weights []float64) plan {
 		connOff: make([]int, nConns+1),
 	}
 	total := 0
-	local := make([]map[int]int, nGws)
 	for a := 0; a < nGws; a++ {
 		conns := net.Connections(a)
 		p.conns[a] = conns
 		p.mu[a] = net.Gateway(a).Mu
 		p.off[a] = total
 		total += len(conns)
-		local[a] = make(map[int]int, len(conns))
-		for k, i := range conns {
-			local[a][i] = k
-		}
 	}
 	p.off[nGws] = total
 	hopTotal := 0
 	for i := 0; i < nConns; i++ {
-		route := net.Route(i)
-		p.routes[i] = route
+		p.routes[i] = net.Route(i)
 		p.connOff[i] = hopTotal
-		hopTotal += len(route)
-		slots := make([]int, len(route))
-		lat := make([]float64, len(route))
-		for hop, a := range route {
-			slots[hop] = p.off[a] + local[a][i]
-			lat[hop] = net.Gateway(a).Latency
-		}
-		p.slots[i] = slots
-		p.hopLat[i] = lat
+		hopTotal += len(p.routes[i])
 	}
 	p.connOff[nConns] = hopTotal
+	// Γ(a) lists its connections in ascending order, so visiting the
+	// connections in order meets each gateway's in its Γ(a) order:
+	// next[a] is the slot of the next connection to reach gateway a.
+	next := append([]int(nil), p.off[:nGws]...)
+	slots, lat := make([]int, hopTotal), make([]float64, hopTotal)
+	for i, route := range p.routes {
+		lo, hi := p.connOff[i], p.connOff[i+1]
+		p.slots[i], p.hopLat[i] = slots[lo:hi:hi], lat[lo:hi:hi]
+		for hop, a := range route {
+			slots[lo+hop] = next[a]
+			next[a]++
+			lat[lo+hop] = net.Gateway(a).Latency
+		}
+	}
 	if weights != nil {
 		p.m = make([]float64, total)
 		for a, conns := range p.conns {
@@ -186,6 +189,9 @@ func NewWeightedSystem(net *topology.Network, disc queueing.Discipline, style si
 	}
 	s := &System{net: net, disc: disc, kernel: kernel, style: style, b: b, laws: laws, weights: weights}
 	s.plan = compilePlan(net, weights)
+	if weights == nil {
+		s.classes = s.compileClasses()
+	}
 	s.pool.New = func() interface{} { return s.NewWorkspace() }
 	return s, nil
 }
@@ -418,8 +424,22 @@ type RunResult struct {
 // Run iterates the synchronous procedure from r0 until convergence or
 // the step budget is exhausted.
 //
+// On a discrete system, each maximal run of consecutive connections
+// with the same route and an equal law is iterated as one weighted
+// slot when there is no Hook and r0 is bit-equal within every run:
+// such connections stay equal, so the class-level system describes
+// them exactly, up to the summation order of the kernels. The result,
+// every trajectory row and every tracer callback are still indexed by
+// connection. A hooked run, and a system with no such run, iterate
+// every connection.
+//
 //ffc:taint sink
 func (s *System) Run(r0 []float64, opt RunOptions) (*RunResult, error) {
+	if s.classes != nil && opt.Hook == nil {
+		if res, ok := s.classes.run(r0, opt); ok {
+			return res, nil
+		}
+	}
 	ws := s.acquire()
 	defer s.release(ws)
 	return ws.run(r0, opt)

@@ -57,7 +57,9 @@ func TestWeightedUnitColumnBitwise(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := plain.Run(r0, opt)
+			ref := opt
+			ref.Hook = PerConnection{} // iterate every connection
+			want, err := plain.Run(r0, ref)
 			if err != nil {
 				t.Fatal(err)
 			}

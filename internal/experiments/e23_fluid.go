@@ -144,7 +144,9 @@ func e23Gap(disc, feed string, eta0 float64, n int64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	dres, err := dsys.Run(dr0, core.RunOptions{MaxSteps: horizon, Record: true, NoEarlyStop: true})
+	// Hooked, the discrete run iterates every connection: the expanded
+	// population, not the class collapse of its two count=N entries.
+	dres, err := dsys.Run(dr0, core.RunOptions{MaxSteps: horizon, Record: true, NoEarlyStop: true, Hook: core.PerConnection{}})
 	if err != nil {
 		return 0, err
 	}

@@ -51,8 +51,13 @@ func RunPerturbed(sys *core.System, r0 []float64, cfg Config, opts core.RunOptio
 		return nil, err
 	}
 
+	// The baseline is hooked too, by a hook that changes nothing, so
+	// that it iterates every connection like the faulted run does
+	// (core.System.Run collapses identical connections only when
+	// unhooked): the recovery analysis then measures the faults, not
+	// the class collapse's rounding.
 	baseOpts := opts
-	baseOpts.Hook = nil
+	baseOpts.Hook = core.PerConnection{}
 	baseOpts.Record = false
 	baseOpts.NoEarlyStop = false
 	baseline, err := sys.Run(r0, baseOpts)

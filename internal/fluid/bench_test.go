@@ -48,14 +48,16 @@ func benchFluidSolve(b *testing.B, n float64) {
 // benchDiscreteRun measures a fixed 100-step discrete run of the same
 // scenario expanded to N individual connections (convergence disabled
 // via an unreachable tolerance), mirroring the top-level BenchmarkRun
-// methodology so the two ladders are comparable per step.
+// methodology so the two ladders are comparable per step. The run is
+// hooked, so it iterates all N connections rather than the one class
+// an unhooked Run would collapse them into.
 func benchDiscreteRun(b *testing.B, n float64) {
 	sp := largeNSpec(b, n)
 	sys, r0, err := sp.Build()
 	if err != nil {
 		b.Fatal(err)
 	}
-	opt := core.RunOptions{MaxSteps: 100, Tol: 1e-300}
+	opt := core.RunOptions{MaxSteps: 100, Tol: 1e-300, Hook: core.PerConnection{}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -87,6 +87,15 @@ func classLevel(t *testing.T, dsys *core.System, fsys *System, d queueing.Discip
 	return rebuild(dsys, nil), rebuild(fsys.sys, fsys.Weights())
 }
 
+// expandedRun runs a discrete system over every connection. It is the
+// reference side of the lockstep tests: an unhooked Run would collapse
+// each count=N entry into one weighted slot, the very mechanism the
+// class-level side is built on, and so check it against itself.
+func expandedRun(sys *core.System, r0 []float64, opt core.RunOptions) (*core.RunResult, error) {
+	opt.Hook = core.PerConnection{}
+	return sys.Run(r0, opt)
+}
+
 // lockstepDisciplines are the disciplines the lockstep tests cover:
 // the paper's two plus the non-preemptive ablation, which the
 // class-level system runs through the same weighted-kernel interface.
@@ -117,7 +126,7 @@ func TestDegenerateBitwise(t *testing.T) {
 			dsys, csys := classLevel(t, dsys0, fsys0, disc)
 			opt := sp.RunOptions()
 			opt.Record = true
-			dres, err := dsys.Run(dr0, opt)
+			dres, err := expandedRun(dsys, dr0, opt)
 			if err != nil {
 				t.Fatalf("discrete run: %v", err)
 			}
@@ -175,7 +184,7 @@ func TestCorners2x2(t *testing.T) {
 					t.Fatalf("Population = %v, want 12", pop)
 				}
 				opt := sp.RunOptions()
-				dres, err := dsys.Run(dr0, opt)
+				dres, err := expandedRun(dsys, dr0, opt)
 				if err != nil {
 					t.Fatalf("discrete run: %v", err)
 				}
@@ -232,7 +241,7 @@ func TestLockstepTrajectoryTracksExpanded(t *testing.T) {
 			opt := sp.RunOptions()
 			opt.Record = true
 			opt.NoEarlyStop = true
-			dres, err := dsys.Run(dr0, opt)
+			dres, err := expandedRun(dsys, dr0, opt)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -33,6 +33,29 @@ var seeds = []Doc{
 	{"empty", []byte(``)},
 }
 
+// PopulationDoc is a discrete population document: two count=N
+// classes, 128 connections across gateways A and B and 64 on B alone,
+// each class sharing one additive law. Its 192 connections stay under
+// every automatic fluid threshold, so each entry point solves it on
+// the discrete backend, and under Fair Share with individual feedback
+// it converges in under a hundred steps.
+var PopulationDoc = []byte(`{
+  "name": "population-discrete",
+  "discipline": "fairshare",
+  "feedback": "individual",
+  "gateways": [{"name": "A", "mu": 1.0, "latency": 0.1}, {"name": "B", "mu": 2.0, "latency": 0.1}],
+  "connections": [
+    {"path": ["A", "B"], "count": 128, "law": {"kind": "additive", "eta": 0.004, "bss": 0.3}},
+    {"path": ["B"], "count": 64, "law": {"kind": "additive", "eta": 0.006, "bss": 0.4}}
+  ],
+  "maxSteps": 4000
+}
+`)
+
+// PopulationFault is the fault spec the population document's
+// faulted runs use: feedback loss, then an outage of gateway A.
+const PopulationFault = "seed=3,loss=0.5@50-120,outage=0@150-170"
+
 // scenarioDir returns the repository's scenarios directory.
 func scenarioDir() string {
 	_, file, _, _ := runtime.Caller(0)
@@ -109,4 +132,46 @@ func Hetero(n int) [][]byte {
 		docs[i] = b.Bytes()
 	}
 	return docs
+}
+
+// Pool returns a discrete population document in the shape of the
+// benchmark's pool workload: one count=N entry per element of counts,
+// each a class of identical multiplicative-law sources, on a
+// 2–3-gateway parking lot under aggregate feedback. The first class
+// crosses every gateway and each other class a contiguous stretch of
+// them. The seed draws the discipline, capacities, latencies, routes
+// and gains, so a document is a pure function of its arguments.
+func Pool(seed int64, counts ...int64) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	disc := [2]string{"fairshare", "fifo"}[rng.Intn(2)]
+	g := 2 + rng.Intn(2)
+	var b bytes.Buffer
+	fmt.Fprintf(&b, `{"name":"pool-%d","discipline":%q,"feedback":"aggregate","gateways":[`, seed, disc)
+	for a := 0; a < g; a++ {
+		if a > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `{"name":"g%d","mu":%.4f,"latency":%.3f}`, a, 1+rng.Float64(), 0.05+0.1*rng.Float64())
+	}
+	b.WriteString(`],"connections":[`)
+	for c, count := range counts {
+		if c > 0 {
+			b.WriteByte(',')
+		}
+		lo, hi := 0, g-1
+		if c > 0 {
+			lo = rng.Intn(g)
+			hi = lo + rng.Intn(g-lo)
+		}
+		b.WriteString(`{"path":[`)
+		for a := lo; a <= hi; a++ {
+			if a > lo {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, `"g%d"`, a)
+		}
+		fmt.Fprintf(&b, `],"count":%d,"law":{"kind":"multiplicative","eta":%.6f,"bss":0.5}}`, count, 0.8+0.8*rng.Float64())
+	}
+	b.WriteString("]}\n")
+	return b.Bytes()
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -10,9 +11,11 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/nettheory/feedbackflow/internal/fault"
 	"github.com/nettheory/feedbackflow/internal/fluid"
 	"github.com/nettheory/feedbackflow/internal/obs"
 	"github.com/nettheory/feedbackflow/internal/scenario"
+	"github.com/nettheory/feedbackflow/internal/scenario/scenariotest"
 )
 
 // goldenReports pins the SHA-256 of the rendered run report (wall_ns
@@ -37,6 +40,9 @@ var goldenReports = map[string]string{
 	"fluid/population/fifo/individual":                  "f889a65696072eabbb067caf1b5562e4a2d9e83cb59320e25af8e5d77d480505",
 	"fluid/population/fairshare/aggregate":              "c3e5bc2e5db37dc67d23dad7cad5af627e1cfe6e44e9aac3acef2ae5eec2d3bd",
 	"fluid/population/fairshare/individual":             "d02bd3c81b78209d2b1cc31f4b6494ce7942e37c64289318f2e747318982c419",
+	// A faulted run is hooked, so it iterates every connection even
+	// where a plain run solves each count=N class once.
+	"fault/population-discrete": "c559f97d1b79a737be25d8af326dfecdb4f2a37428a478ac475df081f456f894",
 }
 
 // goldenFluidDoc is the population scenario of the fluid rows: two
@@ -58,12 +64,30 @@ func goldenFluidDoc(discipline, feedback string) string {
 	}`, discipline, feedback)
 }
 
-// goldenRender solves sp on the given backend and renders its report
-// exactly as the /run handler does, with wall_ns zeroed.
-func goldenRender(t *testing.T, sp *scenario.Spec, backend string) []byte {
+// goldenRender solves sp on the given backend, under the fault spec
+// faultSpec when it is not empty, and renders its report exactly as
+// the /run handler does, with wall_ns zeroed.
+func goldenRender(t *testing.T, sp *scenario.Spec, backend, faultSpec string) []byte {
 	t.Helper()
 	var rep *obs.RunReport
-	if backend == BackendFluid {
+	if faultSpec != "" {
+		cfg, err := fault.Parse(faultSpec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, r0, err := sp.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := fault.RunPerturbed(sys, r0, cfg, sp.RunOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep, err = sys.Report(res.Perturbed, sp.Name); err != nil {
+			t.Fatal(err)
+		}
+		res.Attach(rep)
+	} else if backend == BackendFluid {
 		sys, r0, err := fluid.FromSpec(sp)
 		if err != nil {
 			t.Fatal(err)
@@ -106,8 +130,8 @@ func TestReportGolden(t *testing.T) {
 		t.Fatalf("no scenarios found (%v)", err)
 	}
 	type row struct {
-		name, backend string
-		load          func() (*scenario.Spec, error)
+		name, backend, fault string
+		load                 func() (*scenario.Spec, error)
 	}
 	var rows []row
 	for _, disc := range []string{"fifo", "fairshare"} {
@@ -141,13 +165,21 @@ func TestReportGolden(t *testing.T) {
 			})
 		}
 	}
+	rows = append(rows, row{
+		name:    "fault/population-discrete",
+		backend: BackendDiscrete,
+		fault:   scenariotest.PopulationFault,
+		load: func() (*scenario.Spec, error) {
+			return scenario.Load(bytes.NewReader(scenariotest.PopulationDoc))
+		},
+	})
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
 			sp, err := r.load()
 			if err != nil {
 				t.Fatal(err)
 			}
-			sum := sha256.Sum256(goldenRender(t, sp, r.backend))
+			sum := sha256.Sum256(goldenRender(t, sp, r.backend, r.fault))
 			got := hex.EncodeToString(sum[:])
 			want, ok := goldenReports[r.name]
 			if !ok {

@@ -39,6 +39,10 @@ type Builder struct {
 	gateways []Gateway
 	routes   [][]int
 	err      error
+	// seen[a] is one more than the last connection that visited
+	// gateway a: AddConnection's duplicate check, without a set per
+	// connection.
+	seen []int
 }
 
 // AddGateway appends a gateway and returns its index. Errors (e.g. a
@@ -66,17 +70,19 @@ func (b *Builder) AddConnection(path ...int) int {
 		if len(path) == 0 {
 			b.err = fmt.Errorf("topology: connection %d has an empty route", idx)
 		}
-		seen := make(map[int]bool, len(path))
+		if grow := len(b.gateways) - len(b.seen); grow > 0 {
+			b.seen = append(b.seen, make([]int, grow)...)
+		}
 		for _, a := range path {
 			if a < 0 || a >= len(b.gateways) {
 				b.err = fmt.Errorf("topology: connection %d references unknown gateway %d", idx, a)
 				break
 			}
-			if seen[a] {
+			if b.seen[a] == idx+1 {
 				b.err = fmt.Errorf("topology: connection %d visits gateway %d twice", idx, a)
 				break
 			}
-			seen[a] = true
+			b.seen[a] = idx + 1
 		}
 	}
 	b.routes = append(b.routes, append([]int(nil), path...))
@@ -129,7 +135,8 @@ func (n *Network) Gateway(a int) Gateway { return n.gateways[a] }
 func (n *Network) Route(i int) []int { return n.routes[i] }
 
 // Connections returns Γ(a), the connection indices flowing through
-// gateway a. The returned slice is shared; callers must not modify it.
+// gateway a, in ascending order. The returned slice is shared; callers
+// must not modify it.
 func (n *Network) Connections(a int) []int { return n.conns[a] }
 
 // NumAt returns N^a, the number of connections through gateway a.
