@@ -15,7 +15,7 @@ STATICCHECK_VERSION := 2024.1.1
 
 GO ?= go
 
-.PHONY: all build test race lint vet ffcvet staticcheck fmt bench bench-check bench-kernel bench-fluid chaos serve-smoke bench-serve cluster-smoke bench-cluster clean
+.PHONY: all build test race lint vet ffcvet staticcheck fmt bench bench-check bench-kernel chaos serve-smoke bench-serve cluster-smoke bench-cluster clean
 
 all: build test
 
@@ -82,18 +82,6 @@ BENCH_KERNEL_OUT ?= BENCH_PR7.json
 bench-kernel:
 	BENCH_JSON=$(BENCH_KERNEL_OUT) $(GO) test -run TestWriteBenchJSON -count=1 -v .
 	@echo "bench-kernel: wrote $(BENCH_KERNEL_OUT)"
-
-# bench-fluid (docs/FLUID.md): the discrete-vs-fluid wall-time ladder
-# — 100-step discrete runs expanded per connection up to N=262144,
-# fluid steady-state solves up to N=1e7 — written as the versioned
-# machine-readable record. The emitter asserts the N=1e7 fluid solve
-# under its 10 ms acceptance bound before writing.
-# BENCH_FLUID_OUT overrides the report path.
-BENCH_FLUID_OUT ?= BENCH_PR10.json
-
-bench-fluid:
-	BENCH_JSON=$(abspath $(BENCH_FLUID_OUT)) $(GO) test -run TestWriteFluidBenchJSON -count=1 -v ./internal/fluid/
-	@echo "bench-fluid: wrote $(BENCH_FLUID_OUT)"
 
 # Fault-injection smoke (docs/ROBUSTNESS.md): the injector and
 # recovery suites, the ffsweep kill/resume round trip, the E22

@@ -132,7 +132,9 @@ func postDoc(base string, doc []byte) (*http.Response, []byte, error) {
 	return resp, body, err
 }
 
-func gatewayCounter(t *testing.T, base, name string) float64 {
+// gatewayMetrics scrapes the gateway's own instruments, the
+// feedbackflow.gateway section of /metrics.
+func gatewayMetrics(t *testing.T, base string) map[string]interface{} {
 	t.Helper()
 	resp, err := http.Get(base + "/metrics?format=json")
 	if err != nil {
@@ -143,7 +145,35 @@ func gatewayCounter(t *testing.T, base, name string) float64 {
 	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
 		t.Fatal(err)
 	}
-	v, _ := payload["feedbackflow.gateway"][name].(float64)
+	return payload["feedbackflow.gateway"]
+}
+
+func gatewayCounter(t *testing.T, base, name string) float64 {
+	t.Helper()
+	v, _ := gatewayMetrics(t, base)[name].(float64)
+	return v
+}
+
+// checkedScrape reads one gateway metric and checks that the same
+// scrape's gateway.healthy_replicas equals the sum of the replicas'
+// gateway.replica.<i>.healthy gauges. All of them are read from the
+// ejection state when scraped, microseconds apart, so they can only
+// disagree on a scrape that straddles an ejection itself.
+func checkedScrape(t *testing.T, base string, replicas int, name string) float64 {
+	t.Helper()
+	m := gatewayMetrics(t, base)
+	sum := 0.0
+	for i := 0; i < replicas; i++ {
+		h, ok := m["gateway.replica."+strconv.Itoa(i)+".healthy"].(float64)
+		if !ok {
+			t.Fatalf("scrape has no gateway.replica.%d.healthy gauge", i)
+		}
+		sum += h
+	}
+	if got, ok := m["gateway.healthy_replicas"].(float64); !ok || got != sum {
+		t.Fatalf("gateway.healthy_replicas = %v, per-replica healthy gauges sum to %v", m["gateway.healthy_replicas"], sum)
+	}
+	v, _ := m[name].(float64)
 	return v
 }
 
@@ -211,7 +241,9 @@ func TestGatewaySmoke(t *testing.T) {
 // The clients must see zero failed requests — the gateway's retry and
 // failover absorb even the in-flight window — the ring must remap only
 // the dead replica's shard, and every post-kill response must be
-// byte-identical to its pre-kill counterpart.
+// byte-identical to its pre-kill counterpart. Every scrape of the
+// gateway's metrics also checks that the pool-wide healthy count is
+// the sum of the per-replica healthy gauges.
 func TestGatewayChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses and runs load")
@@ -266,6 +298,10 @@ func TestGatewayChaos(t *testing.T) {
 		}
 	}
 
+	if h := checkedScrape(t, base, len(urls), "gateway.healthy_replicas"); h != 3 {
+		t.Fatalf("gateway.healthy_replicas = %v before the kill, want 3", h)
+	}
+
 	// Closed-loop background load across the whole corpus.
 	loadCtx, stopLoad := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
@@ -301,7 +337,7 @@ func TestGatewayChaos(t *testing.T) {
 
 	// The active probes must eject it promptly.
 	deadline := time.Now().Add(5 * time.Second)
-	for gatewayCounter(t, base, "gateway.ejections") < 1 {
+	for checkedScrape(t, base, len(urls), "gateway.ejections") < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("gateway never ejected the killed replica")
 		}
@@ -359,10 +395,13 @@ func TestGatewayChaos(t *testing.T) {
 		t.Fatal("no corpus doc was homed on the victim; chaos test proved nothing")
 	}
 
-	if r := gatewayCounter(t, base, "gateway.retries"); r < 1 {
+	if h := checkedScrape(t, base, len(urls), "gateway.healthy_replicas"); h != 2 {
+		t.Errorf("gateway.healthy_replicas = %v after the kill, want 2", h)
+	}
+	if r := checkedScrape(t, base, len(urls), "gateway.retries"); r < 1 {
 		t.Errorf("gateway.retries = %v after a mid-load kill, want >= 1", r)
 	}
-	if h := gatewayCounter(t, base, "gateway.hits"); h < 1 {
+	if h := checkedScrape(t, base, len(urls), "gateway.hits"); h < 1 {
 		t.Errorf("gateway.hits = %v, want cache hits from the load loop", h)
 	}
 }

@@ -309,6 +309,7 @@ func New(cfg Config) (*Gateway, error) {
 	shares := g.ring.Ownership()
 	g.replicas = make([]*replica, len(cfg.Replicas))
 	for i, base := range cfg.Replicas {
+		prefix := "gateway.replica." + strconv.Itoa(i)
 		r := &replica{
 			idx:  i,
 			base: strings.TrimRight(base, "/"),
@@ -316,13 +317,17 @@ func New(cfg Config) (*Gateway, error) {
 				threshold: cfg.BreakerThreshold,
 				cooldown:  cfg.BreakerCooldown,
 			},
-			lat:      reg.Histogram("gateway.replica."+strconv.Itoa(i)+".latency", 1e-6, 100, 5),
-			healthyG: reg.Gauge("gateway.replica." + strconv.Itoa(i) + ".healthy"),
-			breakerG: reg.Gauge("gateway.replica." + strconv.Itoa(i) + ".breaker"),
-			shareG:   reg.Gauge("gateway.replica." + strconv.Itoa(i) + ".ring_share"),
+			lat:      reg.Histogram(prefix+".latency", 1e-6, 100, 5),
+			breakerG: reg.Gauge(prefix + ".breaker"),
 		}
-		r.healthyG.Set(1)
-		r.shareG.Set(shares[i])
+		reg.GaugeFunc(prefix+".healthy", func() float64 {
+			if r.st.isEjected() {
+				return 0
+			}
+			return 1
+		})
+		share := shares[i]
+		reg.GaugeFunc(prefix+".ring_share", func() float64 { return share })
 		r.br.onTransition = func(state int) {
 			r.breakerG.Set(float64(state))
 			switch state {

@@ -772,10 +772,10 @@ func TestGatewayBodyOverCap(t *testing.T) {
 	}
 }
 
-// TestGatewayHealthyReplicasGaugeIsLive: gateway.healthy_replicas is
-// derived from the ejection state when scraped, so a snapshot taken
-// after an ejection or a readmission — with no /healthz request in
-// between — agrees with the per-replica gauges.
+// TestGatewayHealthyReplicasGaugeIsLive: gateway.healthy_replicas and
+// the per-replica healthy gauges are derived from the ejection state
+// when scraped, so a snapshot taken after an ejection or a readmission
+// — with no /healthz request in between — reads them in agreement.
 func TestGatewayHealthyReplicasGaugeIsLive(t *testing.T) {
 	g, _, _ := newTestGateway(t, []string{"http://r0.invalid", "http://r1.invalid", "http://r2.invalid"}, nil)
 	check := func(want float64) {

@@ -22,10 +22,11 @@ type replica struct {
 	st replicaState
 	br breaker
 
+	// Instruments. gateway.replica.<i>.healthy (1 = in rotation,
+	// 0 = ejected) and .ring_share (ring keyspace share) are GaugeFuncs
+	// read from st and the ring at scrape time.
 	lat      *obs.Histogram // gateway.replica.<i>.latency
-	healthyG *obs.Gauge     // 1 = in rotation, 0 = ejected
 	breakerG *obs.Gauge     // breakerClosed/HalfOpen/Open
-	shareG   *obs.Gauge     // ring keyspace share
 }
 
 // replicaState is the ejection state machine fed by both active
@@ -140,17 +141,15 @@ func (g *Gateway) probeOne(ctx context.Context, r *replica) {
 
 // observeHealth feeds one health signal — active probe or passive
 // request outcome — into the replica's ejection machine and keeps the
-// counters and gauge in step.
+// counters in step.
 func (g *Gateway) observeHealth(r *replica, ok bool) {
 	if ok {
 		if r.st.ok(g.cfg.ReadmitAfter) {
 			g.readmissions.Inc()
-			r.healthyG.Set(1)
 		}
 		return
 	}
 	if r.st.fail(g.cfg.EjectAfter) {
 		g.ejections.Inc()
-		r.healthyG.Set(0)
 	}
 }

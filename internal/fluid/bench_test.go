@@ -1,8 +1,6 @@
 package fluid
 
 import (
-	"encoding/json"
-	"os"
 	"testing"
 
 	"github.com/nettheory/feedbackflow/internal/core"
@@ -67,13 +65,55 @@ func benchDiscreteRun(b *testing.B, n float64) {
 	}
 }
 
-// BenchmarkFluid is the steady-state solve ladder; the N=1e7 rung is
-// the acceptance bound recorded in BENCH_PR10.json (< 10 ms per
-// solve).
+// BenchmarkFluid is the steady-state solve ladder; its N=1e7 rung was
+// recorded in BENCH_PR10.json under a 10 ms per-solve acceptance bound.
 func BenchmarkFluid(b *testing.B) {
 	for _, rung := range fluidLadder {
 		b.Run(rung.label, func(b *testing.B) { benchFluidSolve(b, rung.n) })
 	}
+}
+
+// fluidPoolDocs is how many scenariotest.FluidPool documents
+// BenchmarkFluidPool cycles through: one full structure cycle (corner,
+// class and gateway counts, population ladder).
+const fluidPoolDocs = 128
+
+// BenchmarkFluidPool solves the fluid-sized documents of the pool
+// workload, one document per op, and reports the integrator's work
+// beside the wall time: evals/op counts drift evaluations and steps/op
+// accepted steps. Each system's pool hands out one workspace, so its
+// evaluation counter sees every solve of that system.
+func BenchmarkFluidPool(b *testing.B) {
+	systems := make([]*System, fluidPoolDocs)
+	starts := make([][]float64, fluidPoolDocs)
+	spaces := make([]*workspace, fluidPoolDocs)
+	for i := range systems {
+		_, sys, r0 := fluidPool(b, i)
+		w := sys.newWorkspace()
+		sys.pool.New = func() any { return w }
+		systems[i], starts[i], spaces[i] = sys, r0, w
+	}
+	steps := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		i := n % fluidPoolDocs
+		res, err := systems[i].Run(starts[i], core.RunOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Converged {
+			b.Fatalf("FluidPool document %d did not converge", i)
+		}
+		steps += res.Steps
+	}
+	b.StopTimer()
+	evals := 0
+	for _, w := range spaces {
+		evals += w.evals
+	}
+	b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
+	b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
 }
 
 // BenchmarkDiscreteRun100 is the discrete half of the comparison
@@ -85,64 +125,5 @@ func BenchmarkDiscreteRun100(b *testing.B) {
 			continue
 		}
 		b.Run(rung.label, func(b *testing.B) { benchDiscreteRun(b, rung.n) })
-	}
-}
-
-// benchRecord is one row of BENCH_PR10.json, matching the
-// BENCH_PR7.json row shape so existing tooling reads both.
-type benchRecord struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-}
-
-// TestWriteFluidBenchJSON re-runs the discrete-vs-fluid wall-time
-// ladder and writes the machine-readable record the repo versions
-// alongside the code. Opt-in: set BENCH_JSON to the output path, or
-// use `make bench-fluid`, which writes the versioned BENCH_PR10.json.
-// The N=1e7 fluid rung is asserted under its 10 ms acceptance bound
-// here, so the recorded file can never claim a regression passed.
-func TestWriteFluidBenchJSON(t *testing.T) {
-	path := os.Getenv("BENCH_JSON")
-	if path == "" {
-		t.Skip("BENCH_JSON not set; skipping benchmark JSON emission")
-	}
-	var records []benchRecord
-	run := func(name string, fn func(*testing.B)) *benchRecord {
-		res := testing.Benchmark(fn)
-		if res.N == 0 {
-			t.Fatalf("%s did not run", name)
-		}
-		records = append(records, benchRecord{
-			Name:        name,
-			NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
-			AllocsPerOp: res.AllocsPerOp(),
-			BytesPerOp:  res.AllocedBytesPerOp(),
-		})
-		rec := &records[len(records)-1]
-		t.Logf("%s: %.0f ns/op, %d allocs/op", name, rec.NsPerOp, rec.AllocsPerOp)
-		return rec
-	}
-	for _, rung := range fluidLadder {
-		if rung.n <= 262144 {
-			n := rung.n
-			run("BenchmarkDiscreteRun100/"+rung.label, func(b *testing.B) { benchDiscreteRun(b, n) })
-		}
-	}
-	for _, rung := range fluidLadder {
-		n := rung.n
-		rec := run("BenchmarkFluid/"+rung.label, func(b *testing.B) { benchFluidSolve(b, n) })
-		if rung.n == 1e7 && rec.NsPerOp >= 10e6 {
-			t.Errorf("BenchmarkFluid/N=1e7 = %.2f ms per steady-state solve, acceptance bound is 10 ms",
-				rec.NsPerOp/1e6)
-		}
-	}
-	data, err := json.MarshalIndent(records, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
 	}
 }

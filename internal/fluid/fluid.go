@@ -34,15 +34,21 @@
 // the per-gateway kernel calls, the path combine and the report are
 // core's. This package only integrates: its drift is one
 // core.Workspace.Drift call — the class-level observation, the
-// per-class law adjust and the boundary projection — stepped by RK4.
+// per-class law adjust and the boundary projection — stepped by an
+// explicit Runge–Kutta method.
 //
 // Two stepping regimes:
 //
-//   - Adaptive (the default, step 0): step-doubling error control on
-//     top of RK4. The integrator finds its own stable step, so steady
-//     states that take the discrete solver ~N synchronous rounds
-//     (gains η ~ 1/N) resolve in tens of accepted steps regardless of
-//     N. This is what makes BenchmarkFluid/N=1e7 a sub-10ms solve.
+//   - Adaptive (the default, step 0): one Dormand–Prince 5(4) step per
+//     trial, its embedded fourth-order solution giving the error
+//     estimate. The seventh stage is the drift at the new state (FSAL,
+//     first same as last): it is both the curvature guard's endpoint
+//     drift and the next step's first stage, so a trial costs six
+//     drift evaluations. The integrator finds its own stable step, so
+//     steady states that take the discrete solver ~N synchronous
+//     rounds (gains η ~ 1/N) resolve in tens of accepted steps
+//     regardless of N. This is what makes BenchmarkFluid/N=1e7 a
+//     sub-10ms solve.
 //   - Fixed (SetStep(h), h > 0): every counted step advances the ODE
 //     by h with one RK4 step. Experiment E23 uses a fine fixed step to
 //     resolve the ODE trajectory against the discrete one.
@@ -86,7 +92,7 @@ type System struct {
 
 // SetStep fixes the integration step: one Run step then advances the
 // ODE by step time units with one RK4 step. A zero step selects
-// adaptive step-doubling control, the FromSpec default, which picks —
+// adaptive Dormand–Prince control, the FromSpec default, which picks —
 // and re-picks — its own stable step. Not safe concurrently with Run.
 func (s *System) SetStep(step float64) error {
 	if finite.IsBad(step) || step < 0 {

@@ -162,7 +162,7 @@ func TestDegenerateBitwise(t *testing.T) {
 // individual} — with weighted multi-member classes. The class-level
 // core system in lockstep must track the expanded discrete trajectory
 // (the class collapse is exact, so only summation-order noise
-// separates them), and the adaptive RK4 integrator must land on the
+// separates them), and the adaptive integrator must land on the
 // same steady state.
 func TestCorners2x2(t *testing.T) {
 	for _, disc := range []string{"fifo", "fairshare"} {
@@ -204,7 +204,7 @@ func TestCorners2x2(t *testing.T) {
 					t.Errorf("lockstep steady-state rates differ by %v (> 1e-9)", d)
 				}
 
-				// Adaptive RK4: same fixed point by a different route.
+				// Adaptive integration: same fixed point by a different route.
 				ares, err := fsys.Run(fr0, opt)
 				if err != nil {
 					t.Fatalf("fluid adaptive run: %v", err)

@@ -16,19 +16,23 @@ type workspace struct {
 	ws *core.Workspace
 
 	// err is the first observation failure since acquire. derivInto
-	// has no error return, so that the RK4 stages stay plain
+	// has no error return, so that the Runge–Kutta stages stay plain
 	// arithmetic; Run checks err after every step. The kernels only
 	// fail on invalid input, which FromSpec, checkRates and the stage
 	// clamp rule out.
 	err error
 
+	// evals counts drift evaluations over the workspace's lifetime,
+	// for the benchmarks' evals/op.
+	evals int
+
 	// Per-class columns.
-	bR             []float64 // combined signal at the accepted point
-	bT             []float64 // same, at integrator stage points (throwaway)
-	k1, k2, k3, k4 []float64 // stage derivatives
-	kh             []float64 // drift at the adaptive midpoint
-	rs             []float64 // stage state
-	y1, y2, mid    []float64 // full-step, half-pair, and midpoint states
+	bR []float64 // combined signal at the accepted point
+	bT []float64 // same, at integrator stage points (throwaway)
+	// Stage drifts: RK4 uses k1–k4, Dormand–Prince all seven, k7
+	// being the drift at the trial's endpoint.
+	k1, k2, k3, k4, k5, k6, k7 []float64
+	rs                         []float64 // stage state
 }
 
 func (s *System) newWorkspace() *workspace {
@@ -38,8 +42,8 @@ func (s *System) newWorkspace() *workspace {
 		ws: s.sys.NewWorkspace(),
 		bR: col(), bT: col(),
 		k1: col(), k2: col(), k3: col(), k4: col(),
-		kh: col(), rs: col(),
-		y1: col(), y2: col(), mid: col(),
+		k5: col(), k6: col(), k7: col(),
+		rs: col(),
 	}
 }
 
@@ -52,6 +56,7 @@ func (s *System) newWorkspace() *workspace {
 //
 //ffc:hotpath
 func (w *workspace) derivInto(r, f, b []float64) {
+	w.evals++
 	sig, err := w.ws.Drift(r, f)
 	if err != nil {
 		if w.err == nil {

@@ -13,16 +13,37 @@ import (
 // instead of feeding ±Inf rates into the kernels.
 const rateCap = 1e300
 
-// Adaptive step-doubling control: the initial trial step is one
-// discrete time unit; the step halves while the full-step vs two-half-
-// step disagreement exceeds the local tolerance (relative to 1 + max
-// rate) and doubles when the estimate is far below it. hMin breaks
-// pathological stiffness loops; hMax keeps the step finite once the
-// state pins to the fixed point.
+// Adaptive step control: the initial trial step is one discrete time
+// unit; the step halves while the embedded error estimate exceeds the
+// local tolerance (relative to 1 + max rate) and doubles when the
+// estimate is far below it. hMin breaks pathological stiffness loops;
+// hMax keeps the step finite once the state pins to the fixed point.
 const (
 	adaptiveH0  = 1.0
 	adaptiveMin = 1e-9
 	adaptiveMax = 1e12
+)
+
+// The Dormand–Prince 5(4) tableau: stage weights dpAij, the
+// fifth-order solution weights dpBi (b₂ = 0), and the error weights
+// dpEi = bᵢ − b̂ᵢ against the embedded fourth-order solution. The
+// seventh stage's row is b itself, so its drift is the drift at the
+// accepted state (FSAL, first same as last). The nodes cᵢ are not
+// needed: the drift does not depend on time.
+const (
+	dpA21 = 1.0 / 5
+
+	dpA31, dpA32 = 3.0 / 40, 9.0 / 40
+
+	dpA41, dpA42, dpA43 = 44.0 / 45, -56.0 / 15, 32.0 / 9
+
+	dpA51, dpA52, dpA53, dpA54 = 19372.0 / 6561, -25360.0 / 2187, 64448.0 / 6561, -212.0 / 729
+
+	dpA61, dpA62, dpA63, dpA64, dpA65 = 9017.0 / 3168, -355.0 / 33, 46732.0 / 5247, 49.0 / 176, -5103.0 / 18656
+
+	dpB1, dpB3, dpB4, dpB5, dpB6 = 35.0 / 384, 500.0 / 1113, 125.0 / 192, -2187.0 / 6784, 11.0 / 84
+
+	dpE1, dpE3, dpE4, dpE5, dpE6, dpE7 = 71.0 / 57600, -71.0 / 16695, 71.0 / 1920, -17253.0 / 339200, 22.0 / 525, -1.0 / 40
 )
 
 // Run integrates the fluid dynamics from r0 until convergence or the
@@ -70,8 +91,8 @@ func (s *System) Run(r0 []float64, opt core.RunOptions) (*core.RunResult, error)
 	calm := 0
 	fresh := false // k1 and bR already hold the drift at r
 	for step := 0; step < opt.MaxSteps; step++ {
-		// Drift at the current point: k1 seeds the RK4 stages and
-		// doubles as the residual and the tracer's signal source.
+		// Drift at the current point: k1 seeds the stages and doubles
+		// as the residual and the tracer's signal source.
 		if !fresh {
 			w.derivInto(r, w.k1, w.bR)
 		}
@@ -82,9 +103,9 @@ func (s *System) Run(r0 []float64, opt core.RunOptions) (*core.RunResult, error)
 		}
 		if adaptive {
 			w.adaptiveStep(r, next, &h, opt.Tol)
-			// The step's curvature check left the drift at the accepted
-			// state in k2 and bT: the next step's k1 and bR.
-			w.k1, w.k2 = w.k2, w.k1
+			// The step's FSAL stage left the drift at the accepted state
+			// in k7 and bT: the next step's k1 and bR.
+			w.k1, w.k7 = w.k7, w.k1
 			w.bR, w.bT = w.bT, w.bR
 			fresh = true
 		} else {
@@ -157,10 +178,11 @@ func (w *workspace) advanceFrom(r, k1, out []float64, h float64) {
 }
 
 // curvatureTol bounds how much the drift may change across one
-// accepted step, relative to the drift at departure. Step-doubling
-// alone is blind to the model's piecewise-flat regions: between the
-// underload and overload plateaus the drift is constant, full step and
-// half pair agree exactly, and an unbounded step leaps clear across
+// accepted step, relative to the drift at departure. An embedded error
+// estimate alone is blind to the model's piecewise-flat regions:
+// between the underload and overload plateaus the drift is constant,
+// every stage sees the same drift, the fifth- and fourth-order
+// solutions agree exactly, and an unbounded step leaps clear across
 // the transition — the stage combination then cancels to a clamped
 // limit cycle the truncation-error estimate scores as perfect. A
 // region-crossing step always flips or slashes the endpoint drift, so
@@ -169,39 +191,33 @@ func (w *workspace) advanceFrom(r, k1, out []float64, h float64) {
 // the residual by a constant factor per accepted step.
 const curvatureTol = 0.5
 
-// adaptiveStep advances one accepted step with step-doubling error
-// control: the full-step result is checked against two half steps,
-// the step halves while they disagree beyond the local tolerance or
-// the endpoint drift deviates beyond the curvature bound (or until
-// the floor is hit), and the agreed half-pair state — the more
-// accurate of the two — is committed. A comfortably small estimate
-// doubles the next trial step, which is what collapses the η ~ 1/N
-// stiffness of large scaled populations into tens of accepted steps.
+// adaptiveStep advances one accepted step with embedded error control:
+// each trial is one Dormand–Prince 5(4) step, the step halves while
+// the fifth- and fourth-order solutions disagree beyond the local
+// tolerance or the endpoint drift deviates beyond the curvature bound
+// (or until the floor is hit), and the fifth-order state is committed.
+// Every trial writes its state into next, so next holds the accepted
+// one on return; the endpoint drift is the trial's FSAL stage, left in
+// k7. A comfortably small estimate doubles the next trial step, which
+// is what collapses the η ~ 1/N stiffness of large scaled populations
+// into tens of accepted steps.
+//
+//ffc:hotpath
 func (w *workspace) adaptiveStep(r, next []float64, h *float64, tol float64) {
 	kscale := maxAbs(w.k1)
 	for {
 		hh := *h
-		w.advanceFrom(r, w.k1, w.y1, hh)
-		w.stageHalfPair(r, hh)
-		errEst, scale := 0.0, 1.0
-		for i := range w.y1 {
-			if d := math.Abs(w.y1[i] - w.y2[i]); d > errEst {
-				errEst = d
+		errEst := w.dormandPrince(r, next, hh)
+		scale, dev := 1.0, 0.0
+		for i := range next {
+			if next[i] > scale-1 {
+				scale = 1 + next[i]
 			}
-			if w.y2[i] > scale-1 {
-				scale = 1 + w.y2[i]
-			}
-		}
-		// Drift deviation across the step (k2 is free after the stages).
-		w.derivInto(w.y2, w.k2, w.bT)
-		dev := 0.0
-		for i := range w.k2 {
-			if d := math.Abs(w.k2[i] - w.k1[i]); d > dev {
+			if d := math.Abs(w.k7[i] - w.k1[i]); d > dev {
 				dev = d
 			}
 		}
 		if (errEst <= tol*scale && dev <= curvatureTol*kscale) || hh <= adaptiveMin {
-			copy(next, w.y2)
 			if errEst <= tol*scale/64 && dev <= curvatureTol*kscale/4 && hh < adaptiveMax {
 				*h = hh * 2
 			}
@@ -211,17 +227,53 @@ func (w *workspace) adaptiveStep(r, next []float64, h *float64, tol float64) {
 	}
 }
 
-// stageHalfPair computes two half RK4 steps from r into w.y2, reusing
-// the drift at r in w.k1 for the first half and evaluating the
-// midpoint drift into w.kh for the second.
-func (w *workspace) stageHalfPair(r []float64, h float64) {
-	w.advanceFrom(r, w.k1, w.mid, h/2)
-	w.derivInto(w.mid, w.kh, w.bT)
-	w.advanceFrom(w.mid, w.kh, w.y2, h/2)
+// dormandPrince takes one Dormand–Prince 5(4) trial step of size h
+// from r with the drift at r already in k1: six drift evaluations,
+// every stage state clamped, the clamped fifth-order state written to
+// out, and the seventh stage — the drift at out — left in k7 with its
+// signal in bT. It returns the error estimate: the largest distance
+// between out and the clamped embedded fourth-order state
+// out − h·Σ dpEᵢ·kᵢ. out must not alias r or the workspace buffers.
+//
+//ffc:hotpath
+func (w *workspace) dormandPrince(r, out []float64, h float64) float64 {
+	k1, k2, k3, k4, k5, k6, k7, rs := w.k1, w.k2, w.k3, w.k4, w.k5, w.k6, w.k7, w.rs
+	stageInto(rs, r, k1, h*dpA21)
+	w.derivInto(rs, k2, w.bT)
+	for i := range rs {
+		rs[i] = clampRate(r[i] + h*(dpA31*k1[i]+dpA32*k2[i]))
+	}
+	w.derivInto(rs, k3, w.bT)
+	for i := range rs {
+		rs[i] = clampRate(r[i] + h*(dpA41*k1[i]+dpA42*k2[i]+dpA43*k3[i]))
+	}
+	w.derivInto(rs, k4, w.bT)
+	for i := range rs {
+		rs[i] = clampRate(r[i] + h*(dpA51*k1[i]+dpA52*k2[i]+dpA53*k3[i]+dpA54*k4[i]))
+	}
+	w.derivInto(rs, k5, w.bT)
+	for i := range rs {
+		rs[i] = clampRate(r[i] + h*(dpA61*k1[i]+dpA62*k2[i]+dpA63*k3[i]+dpA64*k4[i]+dpA65*k5[i]))
+	}
+	w.derivInto(rs, k6, w.bT)
+	// rs keeps the unclamped fifth-order state for the error estimate.
+	for i := range rs {
+		rs[i] = r[i] + h*(dpB1*k1[i]+dpB3*k3[i]+dpB4*k4[i]+dpB5*k5[i]+dpB6*k6[i])
+		out[i] = clampRate(rs[i])
+	}
+	w.derivInto(out, k7, w.bT)
+	errEst := 0.0
+	for i := range out {
+		low := clampRate(rs[i] - h*(dpE1*k1[i]+dpE3*k3[i]+dpE4*k4[i]+dpE5*k5[i]+dpE6*k6[i]+dpE7*k7[i]))
+		if d := math.Abs(out[i] - low); d > errEst {
+			errEst = d
+		}
+	}
+	return errEst
 }
 
 // stageInto writes the clamped explicit step out = max(0, r + h·k),
-// the shared inner loop of the RK4 stages.
+// the shared inner loop of the first Runge–Kutta stage.
 //
 //ffc:hotpath
 func stageInto(out, r, k []float64, h float64) {

@@ -88,13 +88,16 @@ func Corpus(tb testing.TB) []Doc {
 	return append(Files(tb), seeds...)
 }
 
+// corners are the four discipline × feedback combinations of the
+// paper, in the order documents cycle through them.
+var corners = [4][2]string{{"fairshare", "individual"}, {"fifo", "individual"}, {"fairshare", "aggregate"}, {"fifo", "aggregate"}}
+
 // Hetero returns n heterogeneous discrete scenario documents of 64 to
 // 512 connections each, cycling through the four discipline × feedback
 // corners on 2–6-gateway parking lots, every connection with its own
 // multiplicative-law gain. The documents are a pure function of n, so
 // benchmarks over them are comparable across runs.
 func Hetero(n int) [][]byte {
-	corners := [4][2]string{{"fairshare", "individual"}, {"fifo", "individual"}, {"fairshare", "aggregate"}, {"fifo", "aggregate"}}
 	docs := make([][]byte, n)
 	for i := range docs {
 		rng := rand.New(rand.NewSource(int64(i) + 1))
@@ -171,6 +174,60 @@ func Pool(seed int64, counts ...int64) []byte {
 			fmt.Fprintf(&b, `"g%d"`, a)
 		}
 		fmt.Fprintf(&b, `],"count":%d,"law":{"kind":"multiplicative","eta":%.6f,"bss":0.5}}`, count, 0.8+0.8*rng.Float64())
+	}
+	b.WriteString("]}\n")
+	return b.Bytes()
+}
+
+// FluidPool returns fluid-sized population document i of the
+// benchmark's pool workload for the given seed: byte for byte the
+// odd document 2i+1 of ffbench's pool-churn corpus. It has 2–3
+// classes of identical multiplicative-law sources, N = 2¹⁶–2²³ each,
+// on a 2–3-gateway parking lot; the first class crosses every gateway
+// and each other class a contiguous stretch of them. The structure —
+// the discipline × feedback corner (i mod 4), the class and gateway
+// counts and the population ladder — is a function of i alone and
+// repeats every 128 documents; the seed draws capacities, latencies,
+// routes, gains and, under individual feedback, targets.
+func FluidPool(seed int64, i int) []byte {
+	doc := 2*i + 1
+	rng := rand.New(rand.NewSource(seed*1_000_003 + 2*7_919_000_017 + int64(doc)))
+	corner := corners[i%4]
+	classes := 2 + (doc/8)%2
+	g := 2 + (doc/16)%2
+	rung := doc / 32
+	var b bytes.Buffer
+	fmt.Fprintf(&b, `{"name":"pool-%d","discipline":%q,"feedback":%q,"gateways":[`, doc, corner[0], corner[1])
+	for a := 0; a < g; a++ {
+		if a > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `{"name":"g%d","mu":%.4f,"latency":%.3f}`, a, 1+rng.Float64(), 0.05+0.1*rng.Float64())
+	}
+	b.WriteString(`],"connections":[`)
+	for c := 0; c < classes; c++ {
+		if c > 0 {
+			b.WriteByte(',')
+		}
+		lo, hi := 0, g-1
+		if c > 0 {
+			lo = rng.Intn(g)
+			hi = lo + rng.Intn(g-lo)
+		}
+		b.WriteString(`{"path":[`)
+		for a := lo; a <= hi; a++ {
+			if a > lo {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, `"g%d"`, a)
+		}
+		count := int64(1) << (16 + (rung+3*c)%8)
+		eta := 0.8 + 0.8*rng.Float64()
+		bss := 0.5
+		if corner[1] == "individual" {
+			bss = 0.2 + 0.6*rng.Float64()
+		}
+		fmt.Fprintf(&b, `],"count":%d,"law":{"kind":"multiplicative","eta":%.6f,"bss":%.4f}}`, count, eta, bss)
 	}
 	b.WriteString("]}\n")
 	return b.Bytes()
