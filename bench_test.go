@@ -297,7 +297,8 @@ func BenchmarkWorkspaceStep(b *testing.B) {
 func benchRun(b *testing.B, n int) {
 	sys := benchSystem(b, n)
 	r0 := benchRates(n)
-	opt := ff.RunOptions{MaxSteps: 100, Tol: 1e-300}
+	// NoEarlyStop: exactly 100 plain updates, the kernel's cost.
+	opt := ff.RunOptions{MaxSteps: 100, NoEarlyStop: true}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -362,13 +363,15 @@ func BenchmarkRunPopulation(b *testing.B) {
 // per connection, individual feedback, run to steady state. Rates and
 // queues change little from one step to the next here, so each
 // gateway's sort orders are repaired from the previous step rather
-// than rebuilt (see docs/PERFORMANCE.md).
+// than rebuilt (see docs/PERFORMANCE.md). It reports the updates each
+// run applies as steps/op.
 func BenchmarkRunHeterogeneous(b *testing.B) {
 	for _, disc := range []ff.Discipline{ff.FairShare{}, ff.FIFO{}} {
 		b.Run(disc.Name(), func(b *testing.B) {
 			sys, r0 := heteroSystem(b, disc)
 			b.ReportAllocs()
 			b.ResetTimer()
+			steps := 0
 			for i := 0; i < b.N; i++ {
 				res, err := sys.Run(r0, ff.RunOptions{})
 				if err != nil {
@@ -377,7 +380,9 @@ func BenchmarkRunHeterogeneous(b *testing.B) {
 				if !res.Converged {
 					b.Fatal("did not converge")
 				}
+				steps += res.Steps
 			}
+			b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
 		})
 	}
 }

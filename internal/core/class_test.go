@@ -47,11 +47,27 @@ func buildDoc(t *testing.T, doc []byte) (*scenario.Spec, *core.System, []float64
 	return sp, sys, r0
 }
 
-// perConnection runs sys over every connection: the reference.
+// perConnection runs sys over every connection: the reference. It
+// runs sys's unit-weight twin, which has no class plan, unhooked, so
+// the reference takes the path an unhooked Run takes — extrapolated
+// under individual feedback with TSI laws, plain otherwise — without
+// collapsing identical connections.
 func perConnection(t *testing.T, sys *core.System, r0 []float64, opt core.RunOptions) *core.RunResult {
 	t.Helper()
-	opt.Hook = core.PerConnection{}
-	res, err := sys.Run(r0, opt)
+	net := sys.Network()
+	laws := make([]control.Law, net.NumConnections())
+	ones := make([]float64, len(laws))
+	for i := range laws {
+		laws[i], ones[i] = sys.Law(i), 1
+	}
+	twin, err := core.NewWeightedSystem(net, sys.Discipline(), sys.Style(), sys.SignalFunc(), laws, ones)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := core.NumClasses(twin); got != 0 {
+		t.Fatalf("the reference collapses %d classes", got)
+	}
+	res, err := twin.Run(r0, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

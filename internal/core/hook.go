@@ -13,8 +13,8 @@ import "math"
 // The contract mirrors obs.StepTracer's: hooks run synchronously on
 // the iterating goroutine, and every slice they receive is borrowed —
 // valid only for the duration of the callback, mutable in place, never
-// to be retained. A nil RunOptions.Hook adds no work to the iteration
-// and leaves the update path bit-identical to an unhooked run (the
+// to be retained. A hook whose callbacks change nothing leaves the
+// update path bit-identical to the unhooked plain iteration (the
 // guarantee internal/fault's identity property test pins).
 //
 // Unlike a Tracer, a StepHook changes the dynamics; determinism is
@@ -41,11 +41,12 @@ type StepHook interface {
 }
 
 // PerConnection is a StepHook that changes nothing. Set as
-// RunOptions.Hook, it makes Run iterate every connection, where an
-// unhooked Run would solve each run of identical connections as one
-// weighted slot; the iteration is bit for bit an unhooked run's on a
-// system with no such run. It is the per-connection reference the
-// class collapse is checked against.
+// RunOptions.Hook, it makes Run the paper's plain synchronous
+// iteration: no class collapse, no extrapolation. An unhooked Run
+// would solve each run of identical connections as one weighted slot,
+// and under individual feedback with TSI laws would take Anderson
+// steps; a PerConnection run iterates every connection plainly, bit
+// for bit as an unhooked run on a system with neither.
 type PerConnection struct{}
 
 // BeginStep implements StepHook.

@@ -33,7 +33,7 @@ func (h *muScaleHook) BeginStep(step int, mu []float64) {
 // TestNoopHookBitIdentical is the acceptance property: across
 // randomized topologies, disciplines, and feedback styles, a run with
 // a hook that perturbs nothing produces bitwise-equal trajectories,
-// final rates, and observations to an unhooked run.
+// final rates, and observations to an unhooked plain run.
 func TestNoopHookBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	disciplines := []queueing.Discipline{queueing.FIFO{}, queueing.FairShare{}}
@@ -59,7 +59,9 @@ func TestNoopHookBitIdentical(t *testing.T) {
 		for i := range r0 {
 			r0[i] = 0.01 + 0.2*rng.Float64()
 		}
-		opt := core.RunOptions{MaxSteps: 300, Record: true}
+		// NoEarlyStop keeps the unhooked run on the plain iteration, the
+		// path every hooked run takes.
+		opt := core.RunOptions{MaxSteps: 300, Record: true, NoEarlyStop: true}
 		plain, err := sys.Run(r0, opt)
 		if err != nil {
 			t.Fatalf("trial %d plain: %v", trial, err)

@@ -43,6 +43,10 @@ type System struct {
 	// classes, when non-nil, collapses each run of identical
 	// connections into one weighted slot for Run (see classPlan).
 	classes *classPlan
+	// extrapolates says whether an unhooked Run may take Anderson
+	// steps: under individual feedback with every law TSI, where the
+	// interior steady state is isolated (see Workspace.run).
+	extrapolates bool
 	// pool recycles Workspaces for the transient fast paths (Step,
 	// Residual, Run); it keeps those entry points allocation-free in
 	// steady state without compromising concurrent use.
@@ -188,6 +192,12 @@ func NewWeightedSystem(net *topology.Network, disc queueing.Discipline, style si
 		kernel = unweighted{disc}
 	}
 	s := &System{net: net, disc: disc, kernel: kernel, style: style, b: b, laws: laws, weights: weights}
+	s.extrapolates = style == signal.Individual
+	for _, l := range laws {
+		if _, ok := l.(control.TSILaw); !ok {
+			s.extrapolates = false
+		}
+	}
 	s.plan = compilePlan(net, weights)
 	if weights == nil {
 		s.classes = s.compileClasses()
@@ -335,9 +345,10 @@ type RunOptions struct {
 	Clock func() time.Time
 	// Hook, when non-nil, interposes on every update: it may degrade
 	// gateway capacity, perturb the observation before the laws see
-	// it, and override the post-law rates (see StepHook). A nil Hook
-	// leaves the iteration bit-identical to an unhooked run. The
-	// fault-injection layer (internal/fault) is the intended user.
+	// it, and override the post-law rates (see StepHook). A hooked run
+	// is the plain iteration: it neither collapses classes nor
+	// extrapolates. The fault-injection layer (internal/fault) is the
+	// intended user.
 	Hook StepHook
 	// NoEarlyStop disables the convergence early-exit so the run
 	// always executes exactly MaxSteps updates. Perturbed runs use it:
@@ -433,6 +444,11 @@ type RunResult struct {
 // connection. A hooked run, and a system with no such run, iterate
 // every connection.
 //
+// Under individual feedback with every law TSI, a run with no Hook and
+// no NoEarlyStop takes Anderson steps once its first 20 updates are
+// done, and keeps that answer only where a stability guard accepts it
+// (see Workspace.run and docs/MODEL.md, "Accelerated solve").
+//
 //ffc:taint sink
 func (s *System) Run(r0 []float64, opt RunOptions) (*RunResult, error) {
 	if s.classes != nil && opt.Hook == nil {
@@ -447,6 +463,15 @@ func (s *System) Run(r0 []float64, opt RunOptions) (*RunResult, error) {
 
 // run is Run on this workspace. Its result is owned by the caller and
 // does not depend on what the workspace computed before.
+//
+// On a system that extrapolates, a run with no Hook and no
+// NoEarlyStop first tries the accelerated iteration, unobserved. It
+// keeps that answer only if the run converged and, when an
+// extrapolated update was applied, the stability guard accepts the
+// final point; otherwise it iterates plainly from r0, which is today's
+// answer bit for bit. A run with a Tracer or Record then replays the
+// chosen path with them, so observers see exactly the applied updates
+// and a traced run agrees with an untraced one.
 func (w *Workspace) run(r0 []float64, opt RunOptions) (*RunResult, error) {
 	s := w.sys
 	opt = opt.WithDefaults()
@@ -454,8 +479,73 @@ func (w *Workspace) run(r0 []float64, opt RunOptions) (*RunResult, error) {
 	if len(r0) != s.net.NumConnections() {
 		return nil, fmt.Errorf("core: %d initial rates for %d connections", len(r0), s.net.NumConnections())
 	}
+	var (
+		res *RunResult
+		err error
+	)
+	extrapolate := s.extrapolates && opt.Hook == nil && !opt.NoEarlyStop
+	observed := opt.Tracer != nil || opt.Record
+	if extrapolate {
+		trial := opt
+		trial.Tracer, trial.Record = nil, false
+		res, err = w.iterate(r0, trial, true)
+		switch {
+		case w.acc.applied == 0:
+			extrapolate = false // every update was plain
+		case err != nil || !res.Converged || !w.stable(res.Rates):
+			extrapolate, res, err = false, nil, nil
+		}
+		if observed {
+			res, err = nil, nil
+		}
+	}
+	if res == nil && err == nil {
+		res, err = w.iterate(r0, opt, extrapolate)
+	}
+	if err != nil {
+		return nil, err
+	}
+	final, err := w.observeCopy(res.Rates)
+	if err != nil {
+		return nil, err
+	}
+	res.Final = final
+	finalResid := s.residualFrom(res.Rates, final)
+	res.Stats.Observe(finalResid, res.Steps == 0)
+	res.Stats.FinalResidual = finalResid
+	res.Stats.Steps = res.Steps
+	res.Stats.WallTime = opt.Clock().Sub(start)
+	return res, nil
+}
+
+// iterate applies the synchronous updates of run from r0 until
+// Window consecutive calm plain updates or MaxSteps, leaving Final
+// and the final residual to run. With extrapolate set, each update
+// after the first andersonWarmup that is not calm is the Anderson
+// candidate when the boundary rule admits it (anderson.extrapolate),
+// and a candidate that cannot be observed is replaced by the plain
+// update it stood for, clearing the history. An extrapolated update
+// is never calm, so convergence means what it means for the plain
+// iteration.
+func (w *Workspace) iterate(r0 []float64, opt RunOptions, extrapolate bool) (*RunResult, error) {
 	r := append([]float64(nil), r0...)
 	next := make([]float64, len(r))
+	var (
+		acc *anderson
+		// held is the plain update an extrapolated r replaced, until r
+		// has been observed.
+		held []float64
+		// spare is the third rate buffer an extrapolated update needs.
+		spare []float64
+	)
+	if extrapolate {
+		if w.acc == nil {
+			w.acc = newAnderson(len(r), w.sys.weights)
+		}
+		acc = w.acc
+		acc.reset()
+		spare = make([]float64, len(r))
+	}
 	res := &RunResult{}
 	if opt.Record {
 		res.Trajectory = append(res.Trajectory, append([]float64(nil), r...))
@@ -469,11 +559,22 @@ func (w *Workspace) run(r0 []float64, opt RunOptions) (*RunResult, error) {
 		)
 		if opt.Hook == nil {
 			obs, resid, err = w.stepInto(r, next)
+			if held != nil && (err != nil || overloaded(obs)) {
+				r, held = held, r
+				acc.clear()
+				if opt.Record {
+					copy(res.Trajectory[len(res.Trajectory)-1], r)
+				}
+				obs, resid, err = w.stepInto(r, next)
+			}
 		} else {
 			obs, resid, err = w.hookedStep(step, r, next, opt.Hook)
 		}
 		if err != nil {
 			return nil, err
+		}
+		if held != nil {
+			spare, held = held, nil
 		}
 		res.Stats.Observe(resid, step == 0)
 		if opt.Tracer != nil {
@@ -488,12 +589,23 @@ func (w *Workspace) run(r0 []float64, opt RunOptions) (*RunResult, error) {
 				maxRate = next[i]
 			}
 		}
-		r, next = next, r
+		calmStep := maxChange <= opt.Tol*(1+maxRate)
+		// Only the last andersonMemory differences before the first
+		// extrapolated update are used, so the history starts there.
+		if acc != nil && step >= andersonWarmup-andersonMemory-1 {
+			acc.push(r, next)
+			if !calmStep && step >= andersonWarmup && acc.extrapolate(spare) {
+				r, next, held, spare = spare, r, next, nil
+			}
+		}
+		if held == nil {
+			r, next = next, r
+		}
 		res.Steps = step + 1
 		if opt.Record {
 			res.Trajectory = append(res.Trajectory, append([]float64(nil), r...))
 		}
-		if maxChange <= opt.Tol*(1+maxRate) {
+		if calmStep {
 			calm++
 			if calm >= opt.Window {
 				res.Converged = true
@@ -507,17 +619,20 @@ func (w *Workspace) run(r0 []float64, opt RunOptions) (*RunResult, error) {
 		}
 	}
 	res.Rates = r
-	final, err := w.observeCopy(r)
-	if err != nil {
-		return nil, err
-	}
-	res.Final = final
-	finalResid := s.residualFrom(r, final)
-	res.Stats.Observe(finalResid, res.Steps == 0)
-	res.Stats.FinalResidual = finalResid
-	res.Stats.Steps = res.Steps
-	res.Stats.WallTime = opt.Clock().Sub(start)
 	return res, nil
+}
+
+// overloaded reports whether an observation has a connection whose
+// path crosses an overloaded gateway: its delay is infinite.
+//
+//ffc:hotpath
+func overloaded(obs *Observation) bool {
+	for _, d := range obs.Delays {
+		if math.IsInf(d, 1) {
+			return true
+		}
+	}
+	return false
 }
 
 // StepFunc returns F as a plain function r ↦ F(r) for use by the

@@ -38,7 +38,9 @@ func reportJSON(t *testing.T, sys *System, res *RunResult) []byte {
 // TestWeightedUnitColumnBitwise pins the weighted constructor's unit
 // case: an all-ones weight column is NewSystem bit for bit — the run,
 // the final observation and the Report JSON — on the heterogeneous
-// multi-gateway shape, in all six discipline × feedback corners.
+// multi-gateway shape, in all six discipline × feedback corners. Both
+// runs are unhooked, so under individual feedback both extrapolate:
+// the weighted inner products reduce to the unit ones exactly.
 func TestWeightedUnitColumnBitwise(t *testing.T) {
 	fixed := time.Unix(0, 0)
 	opt := RunOptions{MaxSteps: 400, Clock: func() time.Time { return fixed }}
@@ -57,9 +59,10 @@ func TestWeightedUnitColumnBitwise(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := opt
-			ref.Hook = PerConnection{} // iterate every connection
-			want, err := plain.Run(r0, ref)
+			if plain.classes != nil {
+				t.Fatalf("%s: the reference system has identical connections to collapse", name)
+			}
+			want, err := plain.Run(r0, opt)
 			if err != nil {
 				t.Fatal(err)
 			}

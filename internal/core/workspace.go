@@ -48,6 +48,10 @@ type Workspace struct {
 	// plain runs never pay for the indirection.
 	muOverride []float64
 	effMu      []float64
+
+	// acc is the accelerated solve's state, sized on the workspace's
+	// first accelerated run.
+	acc *anderson
 }
 
 // NewWorkspace allocates a Workspace for s. Every hot per-connection

@@ -128,8 +128,9 @@ func TestWorkspaceStepMatchesSystemStep(t *testing.T) {
 }
 
 // TestRunMatchesRepeatedStep pins Run's internal workspace use to the
-// public Step semantics: with convergence disabled, Run's recorded
-// trajectory must equal the one generated by repeated System.Step.
+// public Step semantics: with the early stop disabled, which keeps the
+// plain iteration, Run's recorded trajectory must equal the one
+// generated by repeated System.Step.
 func TestRunMatchesRepeatedStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 10; trial++ {
@@ -140,7 +141,7 @@ func TestRunMatchesRepeatedStep(t *testing.T) {
 			r0[i] = rng.Float64()
 		}
 		const steps = 25
-		res, err := sys.Run(r0, RunOptions{MaxSteps: steps, Tol: 1e-300, Record: true})
+		res, err := sys.Run(r0, RunOptions{MaxSteps: steps, Tol: 1e-300, Record: true, NoEarlyStop: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,6 +219,85 @@ func TestWorkspaceStepAllocationFree(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: Workspace.Step allocates %.1f objects per step, want 0", disc.Name(), allocs)
 		}
+	}
+}
+
+// TestAcceleratedStepAllocatesNothing pins the zero-allocation
+// contract of the accelerated steady state: once a workspace has run
+// an extrapolated solve, an accelerated update — the plain update, the
+// history push and the Anderson candidate — allocates nothing.
+func TestAcceleratedStepAllocatesNothing(t *testing.T) {
+	sys := heteroSystem(t, queueing.FairShare{}, signal.Individual)
+	n := sys.Network().NumConnections()
+	r0 := make([]float64, n)
+	for i := range r0 {
+		r0[i] = 0.02 * float64(1+i%7)
+	}
+	ws := sys.NewWorkspace()
+	if _, err := ws.run(r0, RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	acc := ws.acc
+	if acc == nil || acc.applied == 0 {
+		t.Fatal("the run did not extrapolate")
+	}
+	acc.reset()
+	r := append([]float64(nil), r0...)
+	next, spare := make([]float64, n), make([]float64, n)
+	step := func() {
+		if _, _, err := ws.stepInto(r, next); err != nil {
+			t.Fatal(err)
+		}
+		acc.push(r, next)
+		if acc.extrapolate(spare) {
+			r, spare = spare, r
+		} else {
+			r, next = next, r
+		}
+	}
+	for k := 0; k < andersonWarmup; k++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+		t.Errorf("an accelerated update allocates %.1f objects, want 0", allocs)
+	}
+	if acc.applied == 0 {
+		t.Error("no update extrapolated")
+	}
+}
+
+// TestAndersonBoundaryRule drives the extrapolation with the affine
+// map F(x) = x* + (x − x*)/2, whose Anderson step from two iterates
+// lands on x* exactly: the candidate is applied when x* is positive,
+// refused — clearing the history — when it would send a positive F(x)_i
+// below 0, and a connection with F(x)_i = 0 stays at 0 (where the
+// clamp makes the map no longer affine).
+func TestAndersonBoundaryRule(t *testing.T) {
+	extrapolate := func(star, x0 []float64) ([]float64, bool, *anderson) {
+		a := newAnderson(len(x0), nil)
+		a.reset()
+		x, g := append([]float64(nil), x0...), make([]float64, len(x0))
+		for k := 0; k < 2; k++ {
+			for i := range x {
+				g[i] = star[i] + (x[i]-star[i])/2
+				if g[i] < 0 {
+					g[i] = 0
+				}
+			}
+			a.push(x, g)
+			copy(x, g)
+		}
+		dst := make([]float64, len(x0))
+		return dst, a.extrapolate(dst), a
+	}
+	if dst, ok, _ := extrapolate([]float64{0.5, 2}, []float64{2, 3}); !ok || math.Abs(dst[0]-0.5) > 1e-12 || math.Abs(dst[1]-2) > 1e-12 {
+		t.Fatalf("interior fixed point: candidate %v (applied %v), want [0.5 2]", dst, ok)
+	}
+	if dst, ok, a := extrapolate([]float64{-0.5, 2}, []float64{2, 3}); ok || a.cols != 0 {
+		t.Fatalf("candidate %v below 0 applied %v with %d history columns kept", dst, ok, a.cols)
+	}
+	if dst, ok, _ := extrapolate([]float64{-8, 2}, []float64{1, 3}); !ok || dst[0] != 0 || !(dst[1] > 0) {
+		t.Fatalf("clamped connection: candidate %v (applied %v), want 0 and a positive rate", dst, ok)
 	}
 }
 

@@ -45,7 +45,7 @@ func mustInjector(t *testing.T, cfg fault.Config, nConns, nGws int) *fault.Injec
 
 // TestZeroConfigIsIdentity is the acceptance property: across
 // randomized topologies, disciplines, and styles, a run hooked with a
-// zero-config injector is bit-identical to an unhooked run.
+// zero-config injector is bit-identical to an unhooked plain run.
 func TestZeroConfigIsIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	disciplines := []queueing.Discipline{queueing.FIFO{}, queueing.FairShare{}}
@@ -69,7 +69,9 @@ func TestZeroConfigIsIdentity(t *testing.T) {
 		for i := range r0 {
 			r0[i] = 0.01 + 0.2*rng.Float64()
 		}
-		opt := core.RunOptions{MaxSteps: 250, Record: true}
+		// NoEarlyStop keeps the unhooked run on the plain iteration, the
+		// path every hooked run takes.
+		opt := core.RunOptions{MaxSteps: 250, Record: true, NoEarlyStop: true}
 		plain, err := sys.Run(r0, opt)
 		if err != nil {
 			t.Fatalf("trial %d plain: %v", trial, err)

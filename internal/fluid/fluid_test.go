@@ -87,11 +87,14 @@ func classLevel(t *testing.T, dsys *core.System, fsys *System, d queueing.Discip
 	return rebuild(dsys, nil), rebuild(fsys.sys, fsys.Weights())
 }
 
-// expandedRun runs a discrete system over every connection. It is the
-// reference side of the lockstep tests: an unhooked Run would collapse
+// plainRun runs sys on the paper's plain synchronous iteration, over
+// every connection (core.PerConnection). Both sides of the lockstep
+// tests take it: an unhooked Run of the discrete system would collapse
 // each count=N entry into one weighted slot, the very mechanism the
-// class-level side is built on, and so check it against itself.
-func expandedRun(sys *core.System, r0 []float64, opt core.RunOptions) (*core.RunResult, error) {
+// class-level side is built on, and so check it against itself; and
+// under individual feedback an unhooked Run extrapolates, which is not
+// the step-for-step dynamics the lockstep tests compare.
+func plainRun(sys *core.System, r0 []float64, opt core.RunOptions) (*core.RunResult, error) {
 	opt.Hook = core.PerConnection{}
 	return sys.Run(r0, opt)
 }
@@ -126,11 +129,11 @@ func TestDegenerateBitwise(t *testing.T) {
 			dsys, csys := classLevel(t, dsys0, fsys0, disc)
 			opt := sp.RunOptions()
 			opt.Record = true
-			dres, err := expandedRun(dsys, dr0, opt)
+			dres, err := plainRun(dsys, dr0, opt)
 			if err != nil {
 				t.Fatalf("discrete run: %v", err)
 			}
-			fres, err := csys.Run(fr0, opt)
+			fres, err := plainRun(csys, fr0, opt)
 			if err != nil {
 				t.Fatalf("class-level run: %v", err)
 			}
@@ -184,7 +187,7 @@ func TestCorners2x2(t *testing.T) {
 					t.Fatalf("Population = %v, want 12", pop)
 				}
 				opt := sp.RunOptions()
-				dres, err := expandedRun(dsys, dr0, opt)
+				dres, err := plainRun(dsys, dr0, opt)
 				if err != nil {
 					t.Fatalf("discrete run: %v", err)
 				}
@@ -193,7 +196,7 @@ func TestCorners2x2(t *testing.T) {
 				}
 
 				// Lockstep: the collapsed dynamics expanded back out.
-				fres, err := fsys.sys.Run(fr0, opt)
+				fres, err := plainRun(fsys.sys, fr0, opt)
 				if err != nil {
 					t.Fatalf("class-level lockstep run: %v", err)
 				}
@@ -241,7 +244,7 @@ func TestLockstepTrajectoryTracksExpanded(t *testing.T) {
 			opt := sp.RunOptions()
 			opt.Record = true
 			opt.NoEarlyStop = true
-			dres, err := expandedRun(dsys, dr0, opt)
+			dres, err := plainRun(dsys, dr0, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
