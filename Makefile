@@ -2,20 +2,19 @@
 STATICCHECK_VERSION := 2024.1.1
 
 # internal/lint is written against the stable go/analysis API shapes
-# but implemented stdlib-only — including cross-package facts, which
-# travel through the go command's vetx files exactly as the x/tools
-# unitchecker moves them — so the module needs no x/tools requirement
-# and builds fully offline. If the suite ever needs SSA or the real
+# but implemented stdlib-only, speaking the go command's vettool
+# protocol as the x/tools unitchecker does, so the module needs no
+# x/tools requirement and builds fully offline. If the suite ever needs SSA or the real
 # multichecker, migrate by pinning:
 #
 #     go get golang.org/x/tools@v0.24.0
 #
-# and swapping internal/lint's Analyzer/Pass/Fact types for the
-# x/tools ones (the fields match deliberately).
+# and swapping internal/lint's Analyzer/Pass types for the x/tools
+# ones (the fields match deliberately).
 
 GO ?= go
 
-.PHONY: all build test race lint vet ffcvet staticcheck fmt bench bench-check bench-kernel chaos serve-smoke bench-serve cluster-smoke bench-cluster clean
+.PHONY: all build test race lint vet ffcvet staticcheck fmt bench bench-check chaos serve-smoke cluster-smoke clean
 
 all: build test
 
@@ -29,9 +28,9 @@ race:
 	$(GO) test -race ./...
 
 # The same gate CI's analysis job applies (minus the -race pass):
-# the repo's own nine-analyzer suite — six syntactic rules plus the
-# dataflow taint/ctxflow/lockcheck analyzers with cross-package facts
-# (docs/ANALYSIS.md) — go vet, and a pinned staticcheck.
+# the repo's own eight-analyzer suite — six syntactic rules plus the
+# dataflow ctxflow/lockcheck analyzers (docs/ANALYSIS.md) — go vet,
+# and a pinned staticcheck.
 lint: ffcvet vet staticcheck
 
 ffcvet:
@@ -72,17 +71,6 @@ bench-check:
 		fi; \
 	done
 
-# bench-kernel (docs/PERFORMANCE.md): re-run the core micro-benchmarks
-# — the prefix-sum kernel sweeps and the BenchmarkRun size ladder up to
-# N=262144 — and write the machine-readable record the repo versions
-# alongside the code (mirrors bench-serve). BENCH_KERNEL_OUT overrides
-# the report path.
-BENCH_KERNEL_OUT ?= BENCH_PR7.json
-
-bench-kernel:
-	BENCH_JSON=$(BENCH_KERNEL_OUT) $(GO) test -run TestWriteBenchJSON -count=1 -v .
-	@echo "bench-kernel: wrote $(BENCH_KERNEL_OUT)"
-
 # Fault-injection smoke (docs/ROBUSTNESS.md): the injector and
 # recovery suites, the ffsweep kill/resume round trip, the E22
 # robustness experiment, an ffc -fault matrix across two topologies,
@@ -117,30 +105,6 @@ serve-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRunRequest -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzRunReportJSON -fuzztime 10s -fuzzminimizetime 0 ./internal/obs/
 
-# bench-serve (docs/OBSERVABILITY.md): boot a local ffcd, drive the
-# documented open-loop ramp with ffload, and write the versioned
-# bench-serve/v1 trajectory point. BENCH_SERVE_OUT and
-# BENCH_SERVE_STAGES override the report path and the ramp; the
-# daemon's port is fixed so a stray instance fails fast instead of
-# being measured by accident.
-BENCH_SERVE_OUT    ?= BENCH_SERVE_PR6.json
-BENCH_SERVE_STAGES ?= 200x2s,400x2s,800x2s
-BENCH_SERVE_ADDR   ?= 127.0.0.1:18931
-
-bench-serve:
-	$(GO) build -o bin/ffcd ./cmd/ffcd
-	$(GO) build -o bin/ffload ./cmd/ffload
-	@set -e; \
-	./bin/ffcd -addr $(BENCH_SERVE_ADDR) -workers 0 -queue 256 & \
-	FFCD_PID=$$!; \
-	trap 'kill $$FFCD_PID 2>/dev/null || true' EXIT; \
-	./bin/ffload -url http://$(BENCH_SERVE_ADDR) \
-		-stages '$(BENCH_SERVE_STAGES)' -corpus 64 -seed 1 -zipf-s 1.3 \
-		-require-hit-ratio 0.2 -out $(BENCH_SERVE_OUT); \
-	kill $$FFCD_PID 2>/dev/null || true; \
-	wait $$FFCD_PID 2>/dev/null || true
-	@echo "bench-serve: wrote $(BENCH_SERVE_OUT)"
-
 # Gateway smoke (docs/CLUSTER.md): the cluster package's deterministic
 # unit suite — ring remap bounds, breaker lifecycle, retry/hedge
 # schedules on a fake clock, batch fan-out — under the race detector,
@@ -151,18 +115,6 @@ bench-serve:
 cluster-smoke:
 	$(GO) test -race -count=1 ./internal/cluster/
 	$(GO) test -race -run 'TestGateway(Smoke|Chaos)' -count=1 ./cmd/ffcgw/
-
-# bench-cluster (docs/CLUSTER.md): drive the same zipf workload through
-# gateways fronting 1-, 2-, and 4-replica pools whose per-replica
-# caches hold a quarter of the corpus — the aggregate hit ratio must
-# climb with replica count — then SIGKILL one of three replicas under
-# load and record the recovery. Writes the versioned bench-cluster/v1
-# report; BENCH_CLUSTER_OUT overrides the path.
-BENCH_CLUSTER_OUT ?= BENCH_SERVE_PR9.json
-
-bench-cluster:
-	BENCH_CLUSTER_OUT=$(BENCH_CLUSTER_OUT) $(GO) test -run TestWriteBenchCluster -count=1 -v ./cmd/ffcgw/
-	@echo "bench-cluster: wrote $(BENCH_CLUSTER_OUT)"
 
 clean:
 	$(GO) clean ./...

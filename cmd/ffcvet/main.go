@@ -1,10 +1,9 @@
 // ffcvet runs the repository's static-analysis suite (internal/lint):
-// nine analyzers that enforce the determinism, allocation, safety,
-// input-sanitization, cancellation, and locking invariants the
-// reproduction depends on. The first six are syntactic; taint,
-// ctxflow, and lockcheck run on the intraprocedural dataflow engine
-// and exchange cross-package facts over the vet protocol.
-// docs/ANALYSIS.md describes each rule.
+// eight analyzers that enforce the determinism, allocation, safety,
+// cancellation, and locking invariants the reproduction depends on.
+// The first six are syntactic; ctxflow and lockcheck run on the
+// intraprocedural dataflow engine. Each analyzer needs only the
+// package it checks. docs/ANALYSIS.md describes each rule.
 //
 // Two modes share one implementation:
 //
@@ -12,8 +11,8 @@
 //	go vet -vettool=$(which ffcvet)  # vettool: speaks the unitchecker protocol
 //
 // Standalone mode re-executes the go command with itself installed as
-// the vet tool, so package loading, export data, facts files, and
-// caching are the go command's — exactly what a multichecker built on
+// the vet tool, so package loading, export data, and caching are the
+// go command's — exactly what a multichecker built on
 // golang.org/x/tools would do, without the dependency.
 //
 // With -json, diagnostics are emitted as JSON lines on stdout
@@ -44,7 +43,7 @@ import (
 // version tags the -V=full handshake output; the go command folds it
 // into its action cache key, so bump it when analyzer behavior
 // changes in a way the cache must notice.
-const version = "v2.0.0"
+const version = "v3.0.0"
 
 // jsonEnv propagates -json from the standalone parent to the vettool
 // child processes the go command spawns.

@@ -26,8 +26,6 @@ import (
 // trajectory over the states at which residuals were evaluated: every
 // step when tracing, otherwise the once-per-N convergence checks plus
 // the initial and final states.
-//
-//ffc:taint sink
 func (s *System) RunAsync(r0 []float64, opt RunOptions, seed int64) (*RunResult, error) {
 	opt = opt.WithDefaults()
 	start := opt.Clock()

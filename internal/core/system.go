@@ -133,11 +133,6 @@ func compilePlan(net *topology.Network, weights []float64) plan {
 // NewSystem validates and assembles a System. laws must contain one
 // rate adjustment law per connection (use control.Uniform for the
 // homogeneous case).
-//
-// As a taint sink, NewSystem must never see raw network or file input:
-// untrusted scenarios reach it only through scenario.Load + Build.
-//
-//ffc:taint sink
 func NewSystem(net *topology.Network, disc queueing.Discipline, style signal.Style, b signal.Func, laws []control.Law) (*System, error) {
 	return NewWeightedSystem(net, disc, style, b, laws, nil)
 }
@@ -151,8 +146,6 @@ func NewSystem(net *topology.Network, disc queueing.Discipline, style signal.Sty
 // and the iteration are per class; Report weights gateway
 // utilization, total queue and connection counts by the class sizes.
 // A nil weights is NewSystem, bit for bit.
-//
-//ffc:taint sink
 func NewWeightedSystem(net *topology.Network, disc queueing.Discipline, style signal.Style, b signal.Func, laws []control.Law, weights []float64) (*System, error) {
 	if net == nil {
 		return nil, fmt.Errorf("core: nil network")
@@ -448,8 +441,6 @@ type RunResult struct {
 // no NoEarlyStop takes Anderson steps once its first 20 updates are
 // done, and keeps that answer only where a stability guard accepts it
 // (see Workspace.run and docs/MODEL.md, "Accelerated solve").
-//
-//ffc:taint sink
 func (s *System) Run(r0 []float64, opt RunOptions) (*RunResult, error) {
 	if s.classes != nil && opt.Hook == nil {
 		if res, ok := s.classes.run(r0, opt); ok {

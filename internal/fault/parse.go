@@ -30,8 +30,6 @@ import (
 //
 // Parse validates ranges and shapes but not topology indices — pass
 // the result through Config.Validate once the model is known.
-//
-//ffc:taint sanitizer
 func Parse(spec string) (Config, error) {
 	cfg := Config{Seed: 1, RejoinRate: 0.01}
 	spec = strings.TrimSpace(spec)

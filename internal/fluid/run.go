@@ -64,8 +64,6 @@ const (
 // opt.Hook must be nil: fault injection is defined per connection and
 // per synchronous round, neither of which survives the fluid limit —
 // callers route perturbed runs to the discrete backend.
-//
-//ffc:taint sink
 func (s *System) Run(r0 []float64, opt core.RunOptions) (*core.RunResult, error) {
 	if opt.Hook != nil {
 		return nil, fmt.Errorf("fluid: step hooks (fault injection) are not supported; use the discrete backend")

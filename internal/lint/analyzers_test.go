@@ -58,20 +58,6 @@ func TestPoolReturn(t *testing.T) {
 	linttest.Run(t, lint.PoolReturn, "testdata/poolreturn/pool", module+"/internal/pool")
 }
 
-// TestTaintFires routes an http.Request body into the solver sinks
-// without a sanitizer — the canonical bug the analyzer exists for.
-// The fixture imports the real internal/core and internal/scenario, so
-// the sink and sanitizer facts come from their actual directives.
-func TestTaintFires(t *testing.T) {
-	linttest.Run(t, lint.Taint, "testdata/taint/fire", module+"/internal/badserve")
-}
-
-// TestTaintSilent is the sanctioned path: scenario.Load + Build and
-// fault.Parse between the request and the solver.
-func TestTaintSilent(t *testing.T) {
-	linttest.Run(t, lint.Taint, "testdata/taint/clean", module+"/internal/goodserve")
-}
-
 func TestCtxFlowFires(t *testing.T) {
 	linttest.Run(t, lint.CtxFlow, "testdata/ctxflow/fire", module+"/internal/serve")
 }
@@ -94,12 +80,12 @@ func TestLockCheckSilent(t *testing.T) {
 	linttest.Run(t, lint.LockCheck, "testdata/lockcheck/clean", module+"/internal/cachegood")
 }
 
-// TestSuiteShape pins the suite: nine analyzers, stable names — the CI
+// TestSuiteShape pins the suite: eight analyzers, stable names — the CI
 // analysis job and docs/ANALYSIS.md reference them by name.
 func TestSuiteShape(t *testing.T) {
 	want := []string{
 		"detrange", "detsource", "hotalloc", "finitejson", "cliexit", "poolreturn",
-		"taint", "ctxflow", "lockcheck",
+		"ctxflow", "lockcheck",
 	}
 	got := lint.Analyzers()
 	if len(got) != len(want) {

@@ -6,8 +6,8 @@ import (
 )
 
 // This file builds control-flow graphs from go/ast function bodies —
-// the substrate the dataflow analyzers (taint, ctxflow, lockcheck)
-// solve over. The construction covers the constructs that matter for
+// the substrate the dataflow analyzers (ctxflow, lockcheck) solve
+// over. The construction covers the constructs that matter for
 // an intraprocedural lattice analysis:
 //
 //   - branches: if/else, switch, type switch, and select each fork the

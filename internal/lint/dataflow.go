@@ -14,12 +14,12 @@ import (
 //   - join is pointwise bitwise OR.
 //
 // Every analysis in the suite fits this shape by encoding its lattice
-// in bits: taint uses {0 = untainted, 1 = tainted}; ctxflow's channel
-// kinds use {1 = unbuffered, 2 = buffered} with 3 as the "conflicting
-// definitions" top; lockcheck uses {1 = unlocked, 2 = locked} with 3
-// as "held on some paths only". OR-join makes every transfer function
-// monotone by construction, so the worklist terminates in at most
-// (#objects × #bits × #blocks) steps.
+// in bits: ctxflow's channel kinds use {1 = unbuffered, 2 = buffered}
+// with 3 as the "conflicting definitions" top; lockcheck uses
+// {1 = unlocked, 2 = locked} with 3 as "held on some paths only".
+// OR-join makes every transfer function monotone by construction, so
+// the worklist terminates in at most (#objects × #bits × #blocks)
+// steps.
 //
 // Solve computes per-block entry states; Replay then walks any block's
 // nodes with the evolving state, which is how analyzers attach
@@ -130,6 +130,19 @@ func (d *Dataflow) Replay(in []State, visit func(n ast.Node, s State)) {
 }
 
 // -------- shared object plumbing used by the dataflow analyzers --------
+
+// inspectExec walks the subtree of one CFG node, skipping function
+// literals: a closure's body runs when the closure is called, not
+// where it is written, so its statements are not part of this node's
+// execution.
+func inspectExec(n ast.Node, f func(ast.Node) bool) {
+	ast.Inspect(n, func(m ast.Node) bool {
+		if _, ok := m.(*ast.FuncLit); ok {
+			return false
+		}
+		return f(m)
+	})
+}
 
 // usedObject resolves an identifier to the object it uses or defines.
 func usedObject(info *types.Info, id *ast.Ident) types.Object {

@@ -40,28 +40,13 @@ func runHotAlloc(pass *Pass) error {
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !hasHotPathMarker(fd) {
+			if !ok || fd.Body == nil || !funcDirective(fd, HotPathMarker) {
 				continue
 			}
 			checkHotFunc(pass, fd)
 		}
 	}
 	return nil
-}
-
-// hasHotPathMarker reports whether fd's doc block contains the
-// //ffc:hotpath directive. Directive comments are excluded from
-// CommentGroup.Text, so the raw list is scanned.
-func hasHotPathMarker(fd *ast.FuncDecl) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if c.Text == HotPathMarker {
-			return true
-		}
-	}
-	return false
 }
 
 // hotChecker walks one annotated function keeping the ancestor stack,

@@ -1,17 +1,16 @@
-// Package lint is the repository's static-analysis suite: nine
+// Package lint is the repository's static-analysis suite: eight
 // analyzers that turn the conventions the model's reproducibility and
 // serving path rest on — construction-order float summation, seeded
 // entropy, allocation-free hot paths, non-finite-safe JSON, the
-// exit-2 convention, pooled-workspace hygiene, sanitized untrusted
-// input (taint), cancellation-aware concurrency (ctxflow), and mutex
-// discipline (lockcheck) — into build-breaking diagnostics.
-// cmd/ffcvet is the driver; docs/ANALYSIS.md describes each rule and
-// its rationale.
+// exit-2 convention, pooled-workspace hygiene, cancellation-aware
+// concurrency (ctxflow), and mutex discipline (lockcheck) — into
+// build-breaking diagnostics. cmd/ffcvet is the driver;
+// docs/ANALYSIS.md describes each rule and its rationale.
 //
-// The first six analyzers are syntactic pattern checks; the last
-// three run on an intraprocedural dataflow engine (cfg.go,
-// dataflow.go) and exchange cross-package knowledge through
-// serialized facts (facts.go) carried over the go vet protocol.
+// The first six analyzers are syntactic pattern checks; the last two
+// run on an intraprocedural dataflow engine (cfg.go, dataflow.go).
+// Each needs only the package it is given: no analyzer carries
+// knowledge from one package to another.
 //
 // The Analyzer/Pass API deliberately mirrors
 // golang.org/x/tools/go/analysis so each analyzer ports to the real
@@ -41,11 +40,6 @@ type Analyzer struct {
 	Doc string
 	// Run applies the analyzer to one package.
 	Run func(*Pass) error
-	// Facts, if non-nil, computes the fact this analyzer exports for
-	// a package from its parsed files alone (no type information —
-	// the hook runs in VetxOnly units that never load export data).
-	// Returning nil exports nothing.
-	Facts func(files []*ast.File) interface{}
 }
 
 // Pass carries one package's syntax and type information through an
@@ -56,9 +50,6 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Facts holds the merged fact stores of this package and every
-	// package reachable through its imports. May be nil (no facts).
-	Facts *FactStore
 
 	diags *[]Diagnostic
 }
@@ -97,7 +88,6 @@ func Analyzers() []*Analyzer {
 		FiniteJSON,
 		CLIExit,
 		PoolReturn,
-		Taint,
 		CtxFlow,
 		LockCheck,
 	}
@@ -151,9 +141,8 @@ func isCmdPkg(path string) bool {
 // CheckPackage type-checks nothing — it runs the given analyzers over
 // an already type-checked package and returns their diagnostics sorted
 // by position. It is the one entry point shared by the unitchecker
-// driver and the linttest fixture harness. facts may be nil when no
-// cross-package knowledge is available.
-func CheckPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, facts *FactStore, analyzers []*Analyzer) ([]Diagnostic, error) {
+// driver and the linttest fixture harness.
+func CheckPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -162,7 +151,6 @@ func CheckPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, in
 			Files:     files,
 			Pkg:       pkg,
 			TypesInfo: info,
-			Facts:     facts,
 			diags:     &diags,
 		}
 		if err := a.Run(pass); err != nil {
@@ -185,6 +173,22 @@ func NewTypesInfo() *types.Info {
 	}
 }
 
+// funcDirective reports whether fd's doc comment carries the given
+// //ffc: directive (//ffc:hotpath, //ffc:locked) as a line of its own.
+// Directive comments are excluded from CommentGroup.Text, so the raw
+// list is scanned.
+func funcDirective(fd *ast.FuncDecl, directive string) bool {
+	if fd.Doc == nil {
+		return false
+	}
+	for _, c := range fd.Doc.List {
+		if c.Text == directive {
+			return true
+		}
+	}
+	return false
+}
+
 // calleeFunc resolves the called function or method of call, or nil
 // for calls through function-typed values and built-ins.
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
@@ -197,19 +201,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 		return f
 	}
 	return nil
-}
-
-// isPkgFunc reports whether obj is the package-level function
-// pkgPath.name (methods never match).
-func isPkgFunc(obj *types.Func, pkgPath, name string) bool {
-	if obj == nil || obj.Pkg() == nil {
-		return false
-	}
-	sig, _ := obj.Type().(*types.Signature)
-	if sig == nil || sig.Recv() != nil {
-		return false
-	}
-	return obj.Pkg().Path() == pkgPath && obj.Name() == name
 }
 
 // rootIdent unwraps selectors, indexing, slicing, parens, stars, and

@@ -16,10 +16,7 @@
 // shells out to `go list -export -deps` for the fixture's imports
 // (cached per import set), then type-checks with the same gc importer
 // the vettool protocol uses — so fixtures exercise exactly the code
-// path ffcvet runs under go vet. Cross-package facts are real too:
-// every module package in the fixture's import closure is parsed and
-// its Facts hooks run, so a fixture importing internal/core sees the
-// same sink facts go vet would deliver through the vetx files.
+// path ffcvet runs under go vet.
 package linttest
 
 import (
@@ -65,79 +62,26 @@ func Run(t *testing.T, a *lint.Analyzer, dir, pkgPath string) {
 	}
 
 	pkg, info := typecheck(t, fset, files, pkgPath)
-	facts := fixtureFacts(t, a, pkgPath, files)
-	diags, err := lint.CheckPackage(fset, files, pkg, info, facts, []*lint.Analyzer{a})
+	diags, err := lint.CheckPackage(fset, files, pkg, info, []*lint.Analyzer{a})
 	if err != nil {
 		t.Fatalf("%s: %v", a.Name, err)
 	}
 	checkExpectations(t, fset, files, diags)
 }
 
-// modulePath mirrors the repository module; facts are computed for
-// fixture imports under it.
-const modulePath = "github.com/nettheory/feedbackflow"
-
-// fixtureFacts builds the fact store a go vet run would hand the
-// fixture: the fixture package's own facts plus those of every module
-// package in its import closure, computed by parsing their sources.
-func fixtureFacts(t *testing.T, a *lint.Analyzer, pkgPath string, files []*ast.File) *lint.FactStore {
-	t.Helper()
-	facts, err := lint.ComputeFacts(pkgPath, files, []*lint.Analyzer{a})
-	if err != nil {
-		t.Fatalf("computing fixture facts: %v", err)
-	}
-	if a.Facts == nil {
-		return facts
-	}
-	for path, meta := range modulePackages(t, files) {
-		depFset := token.NewFileSet()
-		var depFiles []*ast.File
-		for _, name := range meta.GoFiles {
-			f, err := parser.ParseFile(depFset, filepath.Join(meta.Dir, name), nil, parser.ParseComments)
-			if err != nil {
-				t.Fatalf("parsing %s for facts: %v", path, err)
-			}
-			depFiles = append(depFiles, f)
-		}
-		depFacts, err := lint.ComputeFacts(path, depFiles, []*lint.Analyzer{a})
-		if err != nil {
-			t.Fatalf("computing facts of %s: %v", path, err)
-		}
-		facts.Merge(depFacts)
-	}
-	return facts
-}
-
-// modulePackages returns the module-local packages in the transitive
-// import closure of the fixture files.
-func modulePackages(t *testing.T, files []*ast.File) map[string]pkgMeta {
-	t.Helper()
-	metas, err := listPackages(fixtureImports(files))
-	if err != nil {
-		t.Fatalf("go list: %v", err)
-	}
-	out := map[string]pkgMeta{}
-	for path, meta := range metas {
-		if path == modulePath || strings.HasPrefix(path, modulePath+"/") {
-			out[path] = meta
-		}
-	}
-	return out
-}
-
 // typecheck builds types for the fixture against real export data.
 func typecheck(t *testing.T, fset *token.FileSet, files []*ast.File, pkgPath string) (*types.Package, *types.Info) {
 	t.Helper()
-	metas, err := listPackages(fixtureImports(files))
+	exports, err := listPackages(fixtureImports(files))
 	if err != nil {
 		t.Fatalf("export data: %v", err)
 	}
 	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		meta, ok := metas[path]
-		if !ok || meta.Export == "" {
+		export := exports[path]
+		if export == "" {
 			return nil, fmt.Errorf("no export data for %q", path)
 		}
-		return os.Open(meta.Export)
+		return os.Open(export)
 	})
 	conf := types.Config{Importer: imp}
 	info := lint.NewTypesInfo()
@@ -148,17 +92,9 @@ func typecheck(t *testing.T, fset *token.FileSet, files []*ast.File, pkgPath str
 	return pkg, info
 }
 
-// pkgMeta is what the harness needs of one listed package: export
-// data for type-checking, source location for fact computation.
-type pkgMeta struct {
-	Export  string
-	Dir     string
-	GoFiles []string
-}
-
 var (
 	exportMu    sync.Mutex
-	exportCache = map[string]map[string]pkgMeta{}
+	exportCache = map[string]map[string]string{}
 )
 
 // fixtureImports collects the direct imports of the fixture files.
@@ -175,10 +111,11 @@ func fixtureImports(files []*ast.File) map[string]bool {
 	return imports
 }
 
-// listPackages returns import path → metadata for the transitive
-// closure of the given imports, via `go list -export -deps`. Results
-// are cached per sorted import set for the life of the test binary.
-func listPackages(imports map[string]bool) (map[string]pkgMeta, error) {
+// listPackages returns import path → export-data file for the
+// transitive closure of the given imports, via `go list -export
+// -deps`. Results are cached per sorted import set for the life of the
+// test binary.
+func listPackages(imports map[string]bool) (map[string]string, error) {
 	paths := make([]string, 0, len(imports))
 	for p := range imports {
 		paths = append(paths, p)
@@ -191,9 +128,9 @@ func listPackages(imports map[string]bool) (map[string]pkgMeta, error) {
 	if m, ok := exportCache[key]; ok {
 		return m, nil
 	}
-	m := map[string]pkgMeta{}
+	m := map[string]string{}
 	if len(paths) > 0 {
-		args := append([]string{"list", "-export", "-json=ImportPath,Export,Dir,GoFiles", "-deps"}, paths...)
+		args := append([]string{"list", "-export", "-json=ImportPath,Export", "-deps"}, paths...)
 		out, err := exec.Command("go", args...).Output()
 		if err != nil {
 			msg := ""
@@ -204,16 +141,13 @@ func listPackages(imports map[string]bool) (map[string]pkgMeta, error) {
 		}
 		dec := json.NewDecoder(strings.NewReader(string(out)))
 		for {
-			var p struct {
-				ImportPath, Export, Dir string
-				GoFiles                 []string
-			}
+			var p struct{ ImportPath, Export string }
 			if err := dec.Decode(&p); err == io.EOF {
 				break
 			} else if err != nil {
 				return nil, err
 			}
-			m[p.ImportPath] = pkgMeta{Export: p.Export, Dir: p.Dir, GoFiles: p.GoFiles}
+			m[p.ImportPath] = p.Export
 		}
 	}
 	exportCache[key] = m

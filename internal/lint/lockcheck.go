@@ -108,7 +108,7 @@ func runLockCheck(pass *Pass) error {
 
 			entry := State{}
 			start := lockU
-			if _, ok := funcDirective(fd, lockedDirective); ok {
+			if funcDirective(fd, lockedDirective) {
 				start = lockW
 			}
 			for _, mu := range mutexes {

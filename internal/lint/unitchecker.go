@@ -10,27 +10,27 @@ import (
 	"go/types"
 	"io"
 	"os"
-	"sort"
 	"strings"
 )
 
 // This file implements the `go vet -vettool` protocol — the same
 // contract golang.org/x/tools/go/analysis/unitchecker fulfills — using
 // only the standard library. The go command invokes the tool once per
-// package with a JSON config file naming the package's sources, the
-// export-data files of its dependencies, and the facts (vetx) files of
-// its direct imports; the tool type-checks from those, runs its
-// analyzers with the merged facts, writes its own facts file, prints
-// diagnostics, and exits 1 when it found any. Import resolution goes
-// through go/importer's gc importer with a lookup function over the
-// config's PackageFile map, exactly as unitchecker does.
+// package with a JSON config file naming the package's sources and the
+// export-data files of its dependencies; the tool type-checks from
+// those, runs its analyzers, prints diagnostics, and exits 1 when it
+// found any. Import resolution goes through go/importer's gc importer
+// with a lookup function over the config's PackageFile map, exactly as
+// unitchecker does.
 //
-// Dependency-only units arrive with VetxOnly set: the go command wants
-// just the facts file. Standard-library packages can never carry this
-// suite's facts (facts originate from //ffc: directives in module
-// source), so their units complete without even parsing; module
-// packages are parsed — but not type-checked — to run the syntactic
-// Facts hooks.
+// The protocol also carries analysis facts between packages: each unit
+// may write a facts (vetx) file, and the go command hands every unit
+// the files of its direct imports. No analyzer here exports facts, so
+// the imports' files are never read, and a dependency-only unit
+// (VetxOnly) completes without parsing anything. Every unit still
+// writes an empty VetxOutput: the go command caches a VetxOnly result
+// only when that file exists, and without it would re-run the tool for
+// every dependency of every vetted package on each go vet.
 
 // vetConfig mirrors the JSON config the go command writes for vet
 // tools (cmd/go/internal/work's vetConfig).
@@ -75,27 +75,13 @@ func RunUnitChecker(cfgFile string, analyzers []*Analyzer, stdout, stderr io.Wri
 		return 2
 	}
 
-	// Dependency-only unit: produce the facts file and stop. Facts
-	// come only from module source, so standard-library units write
-	// the empty store without parsing anything.
-	if cfg.VetxOnly {
-		facts := NewFactStore()
-		if !stdPackage(cfg) {
-			fset := token.NewFileSet()
-			files, perr := parseUnit(fset, cfg)
-			if perr != nil {
-				fmt.Fprintf(stderr, "ffcvet: %v\n", perr)
-				return 2
-			}
-			if facts, err = unitFacts(cfg, files, analyzers); err != nil {
-				fmt.Fprintf(stderr, "ffcvet: %v\n", err)
-				return 2
-			}
-		}
-		if err := writeFacts(cfg, facts); err != nil {
-			fmt.Fprintf(stderr, "ffcvet: %v\n", err)
+	if cfg.VetxOutput != "" {
+		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
+			fmt.Fprintf(stderr, "ffcvet: writing %s: %v\n", cfg.VetxOutput, err)
 			return 2
 		}
+	}
+	if cfg.VetxOnly {
 		return 0
 	}
 
@@ -109,20 +95,6 @@ func RunUnitChecker(cfgFile string, analyzers []*Analyzer, stdout, stderr io.Wri
 		return 2
 	}
 
-	// Facts: this package's own (syntactic) plus everything visible
-	// through its direct imports' vetx files. The merged store is both
-	// what the analyzers read and what this unit's vetx file carries
-	// forward to importers.
-	facts, err := unitFacts(cfg, files, analyzers)
-	if err != nil {
-		fmt.Fprintf(stderr, "ffcvet: %v\n", err)
-		return 2
-	}
-	if err := writeFacts(cfg, facts); err != nil {
-		fmt.Fprintf(stderr, "ffcvet: %v\n", err)
-		return 2
-	}
-
 	pkg, info, err := typecheckUnit(fset, cfg, files)
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
@@ -132,7 +104,7 @@ func RunUnitChecker(cfgFile string, analyzers []*Analyzer, stdout, stderr io.Wri
 		return 2
 	}
 
-	diags, err := CheckPackage(fset, files, pkg, info, facts, analyzers)
+	diags, err := CheckPackage(fset, files, pkg, info, analyzers)
 	if err != nil {
 		fmt.Fprintf(stderr, "ffcvet: %v\n", err)
 		return 2
@@ -174,8 +146,8 @@ func readVetConfig(path string) (*vetConfig, error) {
 	return cfg, nil
 }
 
-// parseUnit parses the unit's Go sources with comments (the Facts
-// hooks and several analyzers read directives).
+// parseUnit parses the unit's Go sources with comments (several
+// analyzers read directives).
 func parseUnit(fset *token.FileSet, cfg *vetConfig) ([]*ast.File, error) {
 	var files []*ast.File
 	for _, name := range cfg.GoFiles {
@@ -186,65 +158,6 @@ func parseUnit(fset *token.FileSet, cfg *vetConfig) ([]*ast.File, error) {
 		files = append(files, f)
 	}
 	return files, nil
-}
-
-// stdPackage reports whether the unit is a standard-library package:
-// either the config says so, or the import path's first element has no
-// dot (the go command's own heuristic).
-func stdPackage(cfg *vetConfig) bool {
-	if cfg.Standard[cfg.ImportPath] {
-		return true
-	}
-	first, _, _ := strings.Cut(cfg.ImportPath, "/")
-	return !strings.Contains(first, ".")
-}
-
-// unitFacts computes the unit's own facts and merges in the fact
-// stores of its direct imports. A corrupt or unreadable vetx file is a
-// protocol failure: silently dropping facts would disable taint
-// checking without a diagnostic.
-func unitFacts(cfg *vetConfig, files []*ast.File, analyzers []*Analyzer) (*FactStore, error) {
-	facts, err := ComputeFacts(cfg.ImportPath, files, analyzers)
-	if err != nil {
-		return nil, err
-	}
-	paths := make([]string, 0, len(cfg.PackageVetx))
-	for p := range cfg.PackageVetx {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		data, err := os.ReadFile(cfg.PackageVetx[p])
-		if err != nil {
-			return nil, fmt.Errorf("reading facts of %s: %v", p, err)
-		}
-		dep, err := DecodeFacts(data)
-		if err != nil {
-			return nil, fmt.Errorf("facts of %s: %v", p, err)
-		}
-		facts.Merge(dep)
-	}
-	return facts, nil
-}
-
-// writeFacts persists the unit's merged fact store to its VetxOutput.
-// An empty store is written as an empty file, the protocol's canonical
-// "no facts" form.
-func writeFacts(cfg *vetConfig, facts *FactStore) error {
-	if cfg.VetxOutput == "" {
-		return nil
-	}
-	var data []byte
-	if len(facts.Packages()) > 0 {
-		var err error
-		if data, err = facts.Encode(); err != nil {
-			return fmt.Errorf("encoding facts: %v", err)
-		}
-	}
-	if err := os.WriteFile(cfg.VetxOutput, data, 0o666); err != nil {
-		return fmt.Errorf("writing facts: %v", err)
-	}
-	return nil
 }
 
 // typecheckUnit type-checks one vet unit against the export data of

@@ -42,12 +42,10 @@ type Key [sha256.Size]byte
 // its length, so the part boundaries are part of the address:
 // KeyOf(a, bc) differs from KeyOf(ab, c).
 //
-// KeyOf is a taint sink: every cached key must be canonical, so only
-// sanitized material (a spec that survived scenario.Load/Build, a
-// fault config from fault.Parse) may be hashed — raw request bytes
-// would let an attacker mint distinct keys for equivalent runs.
-//
-//ffc:taint sink
+// Every cached key must be canonical, so only canonical material (a
+// scenario's canonical bytes, a fault config's round-trip form) should
+// be hashed: raw request bytes would let a client mint distinct keys
+// for equivalent runs.
 func KeyOf(parts ...[]byte) Key {
 	h := sha256.New()
 	var n [8]byte

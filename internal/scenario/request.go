@@ -60,8 +60,6 @@ var canonBufs = sync.Pool{New: func() any { return new([]byte) }}
 // costs one hand-written pass straight into the Spec. Any other body
 // takes the encoding/json path, decodeRequest, which defines the
 // result and owns every error text.
-//
-//ffc:taint sanitizer
 func DecodeRequest(body []byte) (*Validated, error) {
 	spec, fault, ok := decodeFast(body)
 	var err error

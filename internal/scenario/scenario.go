@@ -132,8 +132,6 @@ type SignalSpec struct {
 // anything after it besides whitespace — a second document, stray
 // bytes from a truncated upload — is an error rather than silently
 // ignored (json.Decoder.Decode alone stops after the first value).
-//
-//ffc:taint sanitizer
 func Load(r io.Reader) (*Spec, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -152,8 +150,6 @@ func Load(r io.Reader) (*Spec, error) {
 
 // Build validates the spec and assembles the system plus the initial
 // rate vector.
-//
-//ffc:taint sanitizer
 func (s *Spec) Build() (*core.System, []float64, error) {
 	if len(s.Gateways) == 0 {
 		return nil, nil, fmt.Errorf("scenario: no gateways")

@@ -57,11 +57,11 @@ var heteroReports = sync.OnceValues(func() ([]*obs.RunReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := c.sys.Run(c.r0, req.spec.RunOptions())
+		res, err := c.sys.Run(c.r0, req.doc.Spec().RunOptions())
 		if err != nil {
 			return nil, err
 		}
-		rep, err := c.sys.Report(res, req.spec.Name)
+		rep, err := c.sys.Report(res, req.doc.Spec().Name)
 		if err != nil {
 			return nil, err
 		}
@@ -70,7 +70,7 @@ var heteroReports = sync.OnceValues(func() ([]*obs.RunReport, error) {
 			return nil, err
 		}
 		if !bytes.Equal(renderReport(rep), append(want, '\n')) {
-			return nil, fmt.Errorf("%s: rendered report differs from json.MarshalIndent", req.spec.Name)
+			return nil, fmt.Errorf("%s: rendered report differs from json.MarshalIndent", req.doc.Spec().Name)
 		}
 		reps = append(reps, rep)
 	}

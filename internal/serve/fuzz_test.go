@@ -26,7 +26,7 @@ func FuzzRunRequest(f *testing.F) {
 	s := New(Config{Workers: 1})
 	f.Fuzz(func(t *testing.T, body string) {
 		req, parseErr := parseRunRequest([]byte(body), nil, s.cfg.Backend, s.cfg.FluidThreshold)
-		if parseErr == nil && !cheapToSolve(req.spec) {
+		if parseErr == nil && !cheapToSolve(req.doc.Spec()) {
 			return
 		}
 		rec := httptest.NewRecorder()

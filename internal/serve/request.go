@@ -19,12 +19,17 @@ const (
 )
 
 // runRequest is one fully parsed, content-addressed run: the
-// scenario, the optional fault spec, the backend the server resolved
-// for it, and the cache key derived from their canonical forms. The
-// scenario has not been built yet: that happens once, on a cache miss
-// (see build).
+// validated document, the optional fault spec, the backend the server
+// resolved for it, and the cache key derived from their canonical
+// forms. The scenario has not been built yet: that happens once, on a
+// cache miss (see build).
+//
+// The scenario is held as the *scenario.Validated itself, never as a
+// bare *scenario.Spec: a Validated comes only from
+// scenario.DecodeRequest, so whatever this package keys, builds or
+// solves passed the strict decoder and has canonical bytes.
 type runRequest struct {
-	spec    *scenario.Spec
+	doc     *scenario.Validated
 	fault   fault.Config
 	backend string // BackendDiscrete or BackendFluid, already resolved
 	key     runcache.Key
@@ -91,7 +96,7 @@ func parseRunRequest(body []byte, sp *obs.Span, backend string, threshold int64)
 	// class-indexed fluid report and the connection-indexed discrete
 	// report of the same scenario under distinct entries.
 	return &runRequest{
-		spec:    v.Spec(),
+		doc:     v,
 		fault:   cfg,
 		backend: resolved,
 		key:     runcache.KeyOf(v.Canonical(), []byte(cfg.String()), []byte(resolved)),
@@ -124,9 +129,9 @@ func (req *runRequest) build() (*compiled, error) {
 		err error
 	)
 	if req.backend == BackendFluid {
-		c.fsys, c.r0, err = fluid.FromSpec(req.spec)
+		c.fsys, c.r0, err = fluid.FromSpec(req.doc.Spec())
 	} else {
-		c.sys, c.r0, err = req.spec.Build()
+		c.sys, c.r0, err = req.doc.Spec().Build()
 	}
 	if err != nil {
 		return nil, &buildError{err}

@@ -344,7 +344,8 @@ func (s *Server) solve(ctx context.Context, req *runRequest, sp *obs.Span) (body
 // thereafter, which is what makes hits byte-identical to the miss.
 func renderRun(req *runRequest, c *compiled, sp *obs.Span) ([]byte, error) {
 	sp.Phase("solve")
-	opts := req.spec.RunOptions()
+	spec := req.doc.Spec()
+	opts := spec.RunOptions()
 	if c.fsys != nil {
 		// parseRunRequest already rejected fault+fluid, so this is
 		// always a plain run.
@@ -353,7 +354,7 @@ func renderRun(req *runRequest, c *compiled, sp *obs.Span) ([]byte, error) {
 			return nil, err
 		}
 		sp.Phase("render")
-		rep, err := c.fsys.Report(res, req.spec.Name)
+		rep, err := c.fsys.Report(res, spec.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -365,7 +366,7 @@ func renderRun(req *runRequest, c *compiled, sp *obs.Span) ([]byte, error) {
 			return nil, err
 		}
 		sp.Phase("render")
-		rep, err := c.sys.Report(res, req.spec.Name)
+		rep, err := c.sys.Report(res, spec.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -376,7 +377,7 @@ func renderRun(req *runRequest, c *compiled, sp *obs.Span) ([]byte, error) {
 		return nil, err
 	}
 	sp.Phase("render")
-	rep, err := c.sys.Report(res.Perturbed, req.spec.Name)
+	rep, err := c.sys.Report(res.Perturbed, spec.Name)
 	if err != nil {
 		return nil, err
 	}
