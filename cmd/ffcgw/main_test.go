@@ -47,23 +47,12 @@ func TestMain(m *testing.M) {
 
 // replicaMain is an ffcd in miniature: the same internal/serve stack
 // cmd/ffcd wires, minus flag parsing, announcing its bound address on
-// stdout like the daemon does. FFCGW_REPLICA_CACHE_ENTRIES shrinks the
-// result cache so the cluster bench can show aggregate cache capacity
-// scaling with replica count.
+// stdout like the daemon does.
 func replicaMain() {
-	cacheEntries := 1024
-	if s := os.Getenv("FFCGW_REPLICA_CACHE_ENTRIES"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n <= 0 {
-			fmt.Fprintf(os.Stderr, "replica: bad FFCGW_REPLICA_CACHE_ENTRIES %q\n", s)
-			os.Exit(1)
-		}
-		cacheEntries = n
-	}
 	s := serve.New(serve.Config{
 		Workers:      2,
 		Queue:        64,
-		CacheEntries: cacheEntries,
+		CacheEntries: 1024,
 		CacheBytes:   32 << 20,
 	})
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

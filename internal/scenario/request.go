@@ -10,8 +10,10 @@ import (
 // Validated is a request document the strict decoder accepted: the
 // scenario, the fault spec an envelope carried ("" for a bare
 // scenario), and the scenario's canonical bytes. Its fields are
-// unexported, so a Validated only ever comes from DecodeRequest, and
-// its canonical bytes always belong to its spec.
+// unexported, so outside this package a populated Validated only
+// comes from DecodeRequest, and its canonical bytes always belong to
+// its spec. The zero value is not rejected by the type: &Validated{}
+// compiles anywhere, and its nil Spec must not be built or keyed.
 //
 // A Validated is not a promise that the spec builds — that costs Build
 // (or the fluid backend's FromSpec), which a server runs only on a

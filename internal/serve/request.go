@@ -25,9 +25,11 @@ const (
 // cache miss (see build).
 //
 // The scenario is held as the *scenario.Validated itself, never as a
-// bare *scenario.Spec: a Validated comes only from
-// scenario.DecodeRequest, so whatever this package keys, builds or
-// solves passed the strict decoder and has canonical bytes.
+// bare *scenario.Spec: a populated Validated comes only from
+// scenario.DecodeRequest, so a runRequest built by parseRunRequest
+// has passed the strict decoder and carries canonical bytes. The type
+// constrains this field only; see docs/ANALYSIS.md for what it does
+// not cover.
 type runRequest struct {
 	doc     *scenario.Validated
 	fault   fault.Config
